@@ -3,10 +3,21 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-baseline lint-accept vet fuzz audit fault-stress bench bench-smoke bench-serve bench-serve-smoke bench-fault bench-fault-smoke bench-http bench-http-smoke bench-diff profile check
+.PHONY: build fmt perfbench test race lint lint-baseline lint-accept vet fuzz audit fault-stress bench bench-smoke bench-serve bench-serve-smoke bench-fault bench-fault-smoke bench-http bench-http-smoke bench-diff profile check
 
 build:
 	$(GO) build ./...
+
+## fmt: fail if any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
+
+## perfbench: vet and test the benchmark module, which imports the
+## internal packages but is a separate module that `go build ./...` at the
+## root never compiles.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 test:
 	$(GO) test ./...
@@ -58,9 +69,9 @@ audit:
 ## failover re-solve carries a max-flow certificate.
 fault-stress:
 	$(GO) test -race -count=3 ./internal/fault/
-	$(GO) test -race -count=3 -run 'Chaos|Failover|Fault|Drain|Deadline|PartialServe|Warm|Cache|Compact|Speculative|BatchPool' ./internal/sim/ ./internal/serve/ ./internal/retrieval/ ./internal/maxflow/...
+	$(GO) test -race -count=3 -run 'Chaos|Failover|Fault|Drain|Deadline|PartialServe|Warm|Compact|BatchPool' ./internal/sim/ ./internal/serve/ ./internal/retrieval/ ./internal/maxflow/...
 	$(GO) test -race -count=3 -run 'Cancel|Disconnect|Shutdown|Shed|Stress|Deadline' ./internal/httpd/ ./internal/serve/
-	$(GO) test -tags imflow_audit -run 'Chaos|Failover|Fault|PartialServe|Warm|Cache|Compact|Speculative|BatchPool' ./internal/sim/ ./internal/serve/ ./internal/integration/ ./internal/retrieval/ ./internal/maxflow/...
+	$(GO) test -tags imflow_audit -run 'Chaos|Failover|Fault|PartialServe|Warm|Compact|BatchPool' ./internal/sim/ ./internal/serve/ ./internal/integration/ ./internal/retrieval/ ./internal/maxflow/...
 
 ## bench: regenerate BENCH_retrieval.json — the steady-state integrated
 ## solve loop (ns/op, allocs/op, work counters) across every engine on the
@@ -127,4 +138,4 @@ bench-diff:
 		-old-fault BENCH_fault.json -new-fault /tmp/imflow-bench-new/BENCH_fault.json \
 		-old-http BENCH_http.json -new-http /tmp/imflow-bench-new/BENCH_http.json
 
-check: build vet lint-baseline test audit race
+check: build fmt vet lint-baseline test audit race perfbench

@@ -1,9 +1,9 @@
 // Package detpath implements the determinism-reachability analyzer: the
 // static side of the repository's bit-identity guarantee.
 //
-// The invariant — warm solves match cold solves, speculative probing
-// matches sequential pr-binary, BatchParallelism widths never change
-// response times, det-mode serving replays the simulator exactly — is
+// The invariant — warm solves match cold solves, BatchParallelism widths
+// never change response times, det-mode serving replays the simulator
+// exactly — is
 // enforced dynamically by audit-tag tests and -race stress. Those only
 // catch a nondeterminism source when a run happens to expose it; this
 // analyzer proves the absence of the known source classes on every

@@ -91,9 +91,6 @@ type RetrievalRecord struct {
 	// adjacency index (flowgraph.Compact) before the measured solves —
 	// records from before the CSR layout carry false here.
 	CSR bool `json:"csr,omitempty"`
-	// ProbeParallelism is the speculative solver's concurrent candidate
-	// thresholds per bisection round; zero for every other solver.
-	ProbeParallelism int `json:"probe_parallelism,omitempty"`
 
 	// Warm* fields measure the cross-query warm-start path: the same
 	// solver re-solving load-perturbed variants of each problem without a
@@ -119,12 +116,10 @@ type RetrievalReport struct {
 }
 
 // benchSolver pairs a solver constructor with whether it is a quadratic
-// reference baseline (subject to RetrievalOptions.BaselineMaxN) and, for
-// the speculative solver, its probe width.
+// reference baseline (subject to RetrievalOptions.BaselineMaxN).
 type benchSolver struct {
 	mk       func() retrieval.ReusableSolver
 	baseline bool
-	probes   int
 }
 
 // retrievalSolvers enumerates every benchmarked solver: the integrated
@@ -138,7 +133,6 @@ func retrievalSolvers(threads int) []benchSolver {
 		{mk: func() retrieval.ReusableSolver { return retrieval.NewPRBinaryBlackBox() }},
 		{mk: func() retrieval.ReusableSolver { return retrieval.NewPRBinaryHighestLabel() }},
 		{mk: func() retrieval.ReusableSolver { return retrieval.NewPRBinaryParallel(threads) }},
-		{probes: threads, mk: func() retrieval.ReusableSolver { return retrieval.NewPRBinarySpeculative(threads) }},
 		{baseline: true, mk: func() retrieval.ReusableSolver {
 			return retrieval.NewPRBinaryWithEngine("pr-binary-ek",
 				func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewEdmondsKarp(g) })
@@ -214,7 +208,6 @@ func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 			// Every network-backed solver now freezes its rebuilt network
 			// into the CSR index before solving.
 			rec.CSR = true
-			rec.ProbeParallelism = bs.probes
 			warmNs, warmAllocs, err := measureWarm(bs.mk(), bs.mk(), inst.Problems, o.Repeats)
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: warm %s: %w", cfg, rec.Solver, err)

@@ -37,16 +37,12 @@ type ServeOptions struct {
 	// Default 2.
 	BatchParallelism int `json:"batch_parallelism"`
 
-	// Hot-workload sweep: the stream is rewritten so HotPercent% of the
-	// queries draw their replica structure from a pool of HotShapes
-	// recurring shapes, and the cell is measured twice per worker count —
-	// once plain ("serve-hot") and once with the per-worker solve cache
-	// ("serve-hot-cached", CacheSize entries, busy times quantized to
-	// CacheQuantumUs microseconds).
-	HotShapes      int `json:"hot_shapes"`       // recurring structures in the pool (default 8)
-	HotPercent     int `json:"hot_percent"`      // percent of queries drawn from the pool (default 90)
-	CacheSize      int `json:"cache_size"`       // per-worker solve-cache entries (default 512)
-	CacheQuantumUs int `json:"cache_quantum_us"` // cache-key busy-time quantum (default 50000)
+	// Hot-workload sweep ("serve-hot"): the stream is rewritten so
+	// HotPercent% of the queries draw their replica structure from a pool
+	// of HotShapes recurring shapes, and the cell is measured once per
+	// worker count.
+	HotShapes  int `json:"hot_shapes"`  // recurring structures in the pool (default 8)
+	HotPercent int `json:"hot_percent"` // percent of queries drawn from the pool (default 90)
 }
 
 // withDefaults fills zero fields with the paper-scale defaults.
@@ -80,12 +76,6 @@ func (o ServeOptions) withDefaults() ServeOptions {
 	}
 	if o.HotPercent <= 0 {
 		o.HotPercent = 90
-	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 512
-	}
-	if o.CacheQuantumUs <= 0 {
-		o.CacheQuantumUs = 50_000
 	}
 	if o.BatchParallelism <= 0 {
 		o.BatchParallelism = 2
@@ -138,13 +128,9 @@ type ServeRecord struct {
 	// times bit for bit.
 	DeterministicMatch bool `json:"deterministic_match,omitempty"`
 
-	// Cross-query reuse columns (from serve.Server.SolveStats): the share
-	// of solver calls that warm-started, the solve-cache hit rate
-	// (cache-enabled records only), and — on "serve-hot-cached" records —
-	// this record's QPS over the same workload served uncached.
-	WarmRate          float64 `json:"warm_rate,omitempty"`
-	CacheHitRate      float64 `json:"cache_hit_rate,omitempty"`
-	SpeedupVsUncached float64 `json:"speedup_vs_uncached,omitempty"`
+	// WarmRate is the share of solver calls that warm-started (from
+	// serve.Server.SolveStats).
+	WarmRate float64 `json:"warm_rate,omitempty"`
 }
 
 // ServeReport is the BENCH_serve.json document.
@@ -246,7 +232,7 @@ func RunServe(o ServeOptions) (*ServeReport, error) {
 		report.Records = append(report.Records, replayRec)
 
 		for _, w := range o.Workers {
-			rec, err := measureServe(inst.System, stream, w, o, "serve", false, 0)
+			rec, err := measureServe(inst.System, stream, w, o, "serve", 0)
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: %d workers: %w", cfg, w, err)
 			}
@@ -256,7 +242,7 @@ func RunServe(o ServeOptions) (*ServeReport, error) {
 
 			// Same stream through the intra-batch solver pool: pooled vs
 			// serial throughput as a same-workload ratio.
-			bpRec, err := measureServe(inst.System, stream, w, o, "serve-bp", false, o.BatchParallelism)
+			bpRec, err := measureServe(inst.System, stream, w, o, "serve-bp", o.BatchParallelism)
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: %d workers batch-pool: %w", cfg, w, err)
 			}
@@ -265,27 +251,16 @@ func RunServe(o ServeOptions) (*ServeReport, error) {
 			report.Records = append(report.Records, bpRec)
 		}
 
-		// Hot workload: the repeated-query stream that warm starts and the
-		// solve cache exist for, measured uncached and cached per worker
-		// count so the cache's win is a same-workload ratio.
+		// Hot workload: the repeated-query stream that warm starts exist
+		// for, one record per worker count.
 		hot := hotStream(stream, o.HotShapes, o.HotPercent, cfg.Seed)
 		for _, w := range o.Workers {
-			hotRec, err := measureServe(inst.System, hot, w, o, "serve-hot", false, 0)
+			hotRec, err := measureServe(inst.System, hot, w, o, "serve-hot", 0)
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: hot %d workers: %w", cfg, w, err)
 			}
 			hotRec.Cell, hotRec.N = cfg.String(), n
 			report.Records = append(report.Records, hotRec)
-
-			cachedRec, err := measureServe(inst.System, hot, w, o, "serve-hot-cached", true, 0)
-			if err != nil {
-				return nil, fmt.Errorf("bench: cell %s: hot-cached %d workers: %w", cfg, w, err)
-			}
-			cachedRec.Cell, cachedRec.N = cfg.String(), n
-			if hotRec.QPS > 0 {
-				cachedRec.SpeedupVsUncached = cachedRec.QPS / hotRec.QPS
-			}
-			report.Records = append(report.Records, cachedRec)
 		}
 	}
 	return report, nil
@@ -358,20 +333,15 @@ func measureReplay(sys *storage.System, stream []sim.Query) (ServeRecord, []cost
 
 // measureServe times one saturation pass of the concurrent server: the
 // whole stream is admitted as fast as the bounded queues accept and the
-// pass ends when the last shard drains. cached enables the per-worker
-// solve cache with the options' size and quantum; batchParallelism >= 2
-// fans each admission batch across the intra-batch solver pool.
-func measureServe(sys *storage.System, stream []sim.Query, workers int, o ServeOptions, mode string, cached bool, batchParallelism int) (ServeRecord, error) {
+// pass ends when the last shard drains. batchParallelism >= 2 fans each
+// admission batch across the intra-batch solver pool.
+func measureServe(sys *storage.System, stream []sim.Query, workers int, o ServeOptions, mode string, batchParallelism int) (ServeRecord, error) {
 	rec := ServeRecord{
 		Mode: mode, Solver: "pr-binary",
 		Workers: workers, Queries: len(stream), Batch: o.Batch,
 		BatchParallelism: batchParallelism,
 	}
 	sopt := serve.Options{Workers: workers, QueueDepth: o.QueueDepth, Batch: o.Batch, BatchParallelism: batchParallelism}
-	if cached {
-		sopt.CacheSize = o.CacheSize
-		sopt.CacheQuantum = cost.Micros(o.CacheQuantumUs)
-	}
 	qs := toServeStream(stream)
 	srv, err := serve.New(sys, len(qs), sopt)
 	if err != nil {
@@ -404,9 +374,6 @@ func measureServe(sys *storage.System, stream []sim.Query, workers int, o ServeO
 	ss := srv.SolveStats()
 	if ss.Solves > 0 {
 		rec.WarmRate = float64(ss.WarmSolves) / float64(ss.Solves)
-	}
-	if probes := ss.CacheHits + ss.CacheMisses; probes > 0 {
-		rec.CacheHitRate = float64(ss.CacheHits) / float64(probes)
 	}
 	return rec, nil
 }

@@ -16,16 +16,15 @@ func TestRunServeShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One replay record, then per worker count one serve record, one
-	// batch-pool serve record, and the hot-workload pair (uncached and
-	// cached), per cell.
-	if len(report.Records) != 9 {
-		t.Fatalf("%d records, want 9", len(report.Records))
+	// batch-pool serve record, and one hot-workload record, per cell.
+	if len(report.Records) != 7 {
+		t.Fatalf("%d records, want 7", len(report.Records))
 	}
 	replay := report.Records[0]
 	if replay.Mode != "replay" || !replay.DeterministicMatch {
 		t.Fatalf("first record %+v is not a deterministic-checked replay", replay)
 	}
-	var hotCached int
+	var hot int
 	for _, r := range report.Records {
 		if r.QPS <= 0 || r.ElapsedNs <= 0 {
 			t.Errorf("%s workers=%d: non-positive throughput %+v", r.Mode, r.Workers, r)
@@ -40,17 +39,11 @@ func TestRunServeShape(t *testing.T) {
 		if r.Mode == "serve" && r.SpeedupVsReplay <= 0 {
 			t.Errorf("workers=%d: speedup %v", r.Workers, r.SpeedupVsReplay)
 		}
-		if r.Mode == "serve-hot-cached" {
-			hotCached++
-			if r.CacheHitRate <= 0 {
-				t.Errorf("workers=%d: hot-cached run had no cache hits: %+v", r.Workers, r)
+		if r.Mode == "serve-hot" {
+			hot++
+			if r.WarmRate <= 0 {
+				t.Errorf("workers=%d: hot run never warm-started: %+v", r.Workers, r)
 			}
-			if r.SpeedupVsUncached <= 0 {
-				t.Errorf("workers=%d: speedup vs uncached %v", r.Workers, r.SpeedupVsUncached)
-			}
-		}
-		if r.Mode == "serve-hot" && r.WarmRate <= 0 {
-			t.Errorf("workers=%d: hot run never warm-started: %+v", r.Workers, r)
 		}
 		if bp := r.Mode == "serve-bp"; bp != (r.BatchParallelism > 0) {
 			t.Errorf("%s workers=%d: batch_parallelism %d", r.Mode, r.Workers, r.BatchParallelism)
@@ -59,8 +52,8 @@ func TestRunServeShape(t *testing.T) {
 			t.Errorf("workers=%d: batch-pool speedup %v", r.Workers, r.SpeedupVsReplay)
 		}
 	}
-	if hotCached != 2 {
-		t.Errorf("%d serve-hot-cached records, want one per worker count", hotCached)
+	if hot != 2 {
+		t.Errorf("%d serve-hot records, want one per worker count", hot)
 	}
 	if _, err := json.Marshal(report); err != nil {
 		t.Fatal(err)

@@ -210,7 +210,7 @@ func (s *Server) attempt(qctx context.Context, seq int, replicas [][]int, deadli
 				if retries >= s.opt.MaxRetries {
 					s.met.faultExhausted.Add(1)
 					return outcome{status: http.StatusServiceUnavailable,
-						msg: fault.Transient(errors.New("fault-epoch retries exhausted")).Error(),
+						msg:        fault.Transient(errors.New("fault-epoch retries exhausted")).Error(),
 						retryAfter: s.opt.BreakerCooldown, transient: true, retries: retries}
 				}
 				retries++

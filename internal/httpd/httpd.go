@@ -136,9 +136,9 @@ type Server struct {
 	drainOnce sync.Once
 	// reqMu orders the draining flip against handlers joining inflight:
 	// beginRequest holds it shared, Shutdown's flip holds it exclusive.
-	reqMu sync.RWMutex
-	bgCancel  context.CancelFunc
-	inflight  sync.WaitGroup
+	reqMu    sync.RWMutex
+	bgCancel context.CancelFunc
+	inflight sync.WaitGroup
 
 	rngMu sync.Mutex
 	// rng feeds backoff jitter; guarded by rngMu.

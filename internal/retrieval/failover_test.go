@@ -48,7 +48,6 @@ var failoverSolvers = []struct {
 	{"pr-binary-blackbox", func() FailoverSolver { return NewPRBinaryBlackBox() }},
 	{"pr-binary-highest", func() FailoverSolver { return NewPRBinaryHighestLabel() }},
 	{"pr-binary-parallel", func() FailoverSolver { return NewPRBinaryParallel(2) }},
-	{"pr-binary-spec", func() FailoverSolver { return NewPRBinarySpeculative(3) }},
 }
 
 // deadBuckets independently computes the buckets whose every replica is on
@@ -448,8 +447,8 @@ func TestMarkFailedSteadyStateAllocs(t *testing.T) {
 		Replicas: [][]int{{0, 1}, {0, 2}, {1, 2}, {0, 1}, {2, 0}},
 	}
 	for _, fs := range failoverSolvers {
-		if fs.name == "pr-binary-parallel" || fs.name == "pr-binary-spec" {
-			continue // goroutine-fanning solvers allocate per run by design
+		if fs.name == "pr-binary-parallel" {
+			continue // the parallel engine allocates per run by design
 		}
 		s := fs.mk()
 		res := &Result{}

@@ -131,13 +131,6 @@ type PRBinary struct {
 	st       incrementState
 	saved    []int64
 	mask     DiskMask // scratch for MarkFailed's fresh-solve fallback
-
-	// Speculative probing (see speculative.go): when specProbes >= 2 the
-	// binary search evaluates that many candidate thresholds concurrently
-	// on the per-goroutine scratch networks in probes. Zero means plain
-	// sequential bisection.
-	specProbes int
-	probes     []probeCtx
 }
 
 // NewPRBinary returns the integrated Algorithm 6 solver (sequential
@@ -176,29 +169,6 @@ func NewPRBinaryParallel(n int) *PRBinary {
 		name:     fmt.Sprintf("pr-binary-parallel(%d)", n),
 		factory:  ParallelEngine(n),
 		conserve: true,
-	}
-}
-
-// NewPRBinarySpeculative returns the integrated Algorithm 6 solver whose
-// binary search evaluates several candidate response times concurrently:
-// each round picks up to `probes` distinct thresholds inside the current
-// bracket and solves them on per-goroutine scratch copies of the network
-// (sequential FIFO engine each), then commits the largest infeasible
-// probe's flow — the conservation rule of the sequential search, whose
-// stored flows are exactly the infeasible ones — and tightens the bracket
-// to the surviving gap. The optimum is bracketed identically, and the
-// final incremental stretch starts from an infeasible flow at tmin just
-// like the sequential solver, so schedules and response times are
-// bit-identical to pr-binary (audit-checked); only the operation counters
-// differ. probes <= 0 selects runtime.GOMAXPROCS(0); probes == 1 is the
-// sequential conserve path unchanged.
-func NewPRBinarySpeculative(probes int) *PRBinary {
-	probes = threads.Normalize(probes)
-	return &PRBinary{
-		name:       fmt.Sprintf("pr-binary-spec(%d)", probes),
-		factory:    SequentialEngine,
-		conserve:   true,
-		specProbes: probes,
 	}
 }
 
@@ -288,77 +258,63 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 		tmin = 0
 	}
 
-	if s.specProbes >= 2 {
-		// Speculative rounds (speculative.go): up to specProbes candidate
-		// thresholds are solved concurrently per round on scratch copies
-		// of the network, committing per the conservation rules. net.g
-		// comes back holding an infeasible flow valid at the returned
-		// tmin's capacities (or the warm carried flow when every probe of
-		// every round was feasible), so one DrainExcess makes the final
-		// stretch start exactly like the sequential conserve path.
-		tmin = s.speculativeSearch(res, target, tmin, tmax, minSpeed)
-		net.capsForTime(tmin)
-		net.g.DrainExcess(net.s, net.t)
-		s.st.reset(net)
-	} else {
-		if s.conserve && !warm {
-			s.saved = net.g.SnapshotFlows(s.saved) // all-zero snapshot
-		}
-		// The paper loops while (tmax - tmin) >= minSpeed over reals; with
-		// integer microseconds that admits a no-progress iteration when the
-		// bracket narrows to exactly minSpeed = 1us (tmid == tmin), so the
-		// strict comparison is required. The final incremental stretch closes
-		// any remaining gap either way.
-		for cost.SatSub(tmax, tmin) > minSpeed {
-			tmid := cost.SatAdd(tmin, cost.SatSub(tmax, tmin)/2)
-			net.capsForTime(tmid)
-			if s.conserve {
-				if warm {
-					// Warm conservation: drain the carried flow down to this
-					// probe's capacities and let the engine augment the rest.
-					net.g.DrainExcess(net.s, net.t)
-				}
-			} else {
-				net.g.ZeroFlows()
-			}
-			flow := engine.Run(net.s, net.t)
-			res.Stats.MaxflowRuns++
-			res.Stats.BinarySteps++
-			maxflow.Audit(net.g, net.s, net.t)
-			if flow != target {
-				// Infeasible: keep (store) these flows — they stay valid at
-				// every larger capacity setting — and raise the floor.
-				if s.conserve && !warm {
-					s.saved = net.g.SnapshotFlows(s.saved)
-				}
-				tmin = tmid
-			} else {
-				// Feasible: the optimum may be lower, so roll back to the last
-				// infeasible flow state and lower the ceiling. On the warm path
-				// the next probe's DrainExcess performs the equivalent cut-down
-				// in place, so there is nothing to restore.
-				if s.conserve && !warm {
-					net.g.RestoreFlows(s.saved)
-				}
-				tmax = tmid
-			}
-		}
-
-		// Final stretch: Algorithm 5 from tmin's capacities. At most N more
-		// increments separate tmin from the optimum.
+	if s.conserve && !warm {
+		s.saved = net.g.SnapshotFlows(s.saved) // all-zero snapshot
+	}
+	// The paper loops while (tmax - tmin) >= minSpeed over reals; with
+	// integer microseconds that admits a no-progress iteration when the
+	// bracket narrows to exactly minSpeed = 1us (tmid == tmin), so the
+	// strict comparison is required. The final incremental stretch closes
+	// any remaining gap either way.
+	for cost.SatSub(tmax, tmin) > minSpeed {
+		tmid := cost.SatAdd(tmin, cost.SatSub(tmax, tmin)/2)
+		net.capsForTime(tmid)
 		if s.conserve {
-			if !warm {
-				net.g.RestoreFlows(s.saved)
+			if warm {
+				// Warm conservation: drain the carried flow down to this
+				// probe's capacities and let the engine augment the rest.
+				net.g.DrainExcess(net.s, net.t)
 			}
 		} else {
 			net.g.ZeroFlows()
 		}
-		net.capsForTime(tmin)
-		if s.conserve && warm {
-			net.g.DrainExcess(net.s, net.t)
+		flow := engine.Run(net.s, net.t)
+		res.Stats.MaxflowRuns++
+		res.Stats.BinarySteps++
+		maxflow.Audit(net.g, net.s, net.t)
+		if flow != target {
+			// Infeasible: keep (store) these flows — they stay valid at
+			// every larger capacity setting — and raise the floor.
+			if s.conserve && !warm {
+				s.saved = net.g.SnapshotFlows(s.saved)
+			}
+			tmin = tmid
+		} else {
+			// Feasible: the optimum may be lower, so roll back to the last
+			// infeasible flow state and lower the ceiling. On the warm path
+			// the next probe's DrainExcess performs the equivalent cut-down
+			// in place, so there is nothing to restore.
+			if s.conserve && !warm {
+				net.g.RestoreFlows(s.saved)
+			}
+			tmax = tmid
 		}
-		s.st.reset(net)
 	}
+
+	// Final stretch: Algorithm 5 from tmin's capacities. At most N more
+	// increments separate tmin from the optimum.
+	if s.conserve {
+		if !warm {
+			net.g.RestoreFlows(s.saved)
+		}
+	} else {
+		net.g.ZeroFlows()
+	}
+	net.capsForTime(tmin)
+	if s.conserve && warm {
+		net.g.DrainExcess(net.s, net.t)
+	}
+	s.st.reset(net)
 	if !s.conserve {
 		net.g.ZeroFlows()
 	}

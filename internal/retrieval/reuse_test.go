@@ -16,7 +16,6 @@ var reusableSolvers = []func() ReusableSolver{
 	func() ReusableSolver { return NewPRBinaryBlackBox() },
 	func() ReusableSolver { return NewPRBinaryHighestLabel() },
 	func() ReusableSolver { return NewPRBinaryParallel(2) },
-	func() ReusableSolver { return NewPRBinarySpeculative(3) },
 }
 
 // TestSolveIntoInterleavedReuse interleaves SolveInto calls across two

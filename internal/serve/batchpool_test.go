@@ -93,15 +93,13 @@ func TestBatchPoolOnScheduleOrdering(t *testing.T) {
 	}
 }
 
-// TestBatchPoolSharedCache exercises the cacheMu-serialized solve cache
-// from concurrent pool members: a batch with heavily repeated replica
-// structures (the table is batch-shared, so repeats are exact key hits)
-// must stay fully served and consistent, and every probe must be
-// accounted as a hit or a miss.
+// TestBatchPoolSharedCache pins a pooled batch of two recurring replica
+// structures, solved concurrently against the batch-shared disk table:
+// every query is served, and each is its own solver call.
 func TestBatchPoolSharedCache(t *testing.T) {
-	s, qs := poolTestServer(t, 12, 31, Options{Workers: 1, Batch: 32, BatchParallelism: 4, CacheSize: 64})
+	s, qs := poolTestServer(t, 12, 31, Options{Workers: 1, Batch: 32, BatchParallelism: 4})
 	for i := range qs {
-		qs[i].Replicas = qs[i%2].Replicas // two unique keys across the batch
+		qs[i].Replicas = qs[i%2].Replicas // two recurring shapes across the batch
 	}
 	if err := s.workers[0].serveBatch(qs); err != nil {
 		t.Fatal(err)
@@ -111,12 +109,8 @@ func TestBatchPoolSharedCache(t *testing.T) {
 			t.Fatalf("query %d result %+v", i, r)
 		}
 	}
-	st := s.SolveStats()
-	if st.CacheHits+st.CacheMisses != int64(len(qs)) {
-		t.Fatalf("cache probes %d+%d, want %d", st.CacheHits, st.CacheMisses, len(qs))
-	}
-	if st.Solves != st.CacheMisses {
-		t.Fatalf("%d solves for %d misses", st.Solves, st.CacheMisses)
+	if st := s.SolveStats(); st.Solves != int64(len(qs)) {
+		t.Fatalf("%d solves for %d queries", st.Solves, len(qs))
 	}
 }
 

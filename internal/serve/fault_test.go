@@ -302,6 +302,62 @@ func TestFailoverBetweenSnapshotAndMerge(t *testing.T) {
 	}
 }
 
+// TestSlowdownMidBatchWriteBack slows a disk down mid-batch, right after
+// the first query that uses it is solved, and checks the write-back: each
+// query is charged to the worker's batch-local horizons at the service
+// time it was solved with, and the shared horizons must be charged the
+// same. A write-back that re-prices the batch's block totals at the
+// disk's final service time disagrees with the responses the batch
+// already reported.
+func TestSlowdownMidBatchWriteBack(t *testing.T) {
+	sys, stream := testStream(t, 12, 41)
+	qs := toServeQueries(stream)
+	s, err := New(sys, len(qs), Options{
+		Workers: 1, Batch: len(qs),
+		// Arm fault mode with an empty schedule; the slowdown comes from
+		// the injection hook below.
+		Fault: &fault.Schedule{NumDisks: sys.NumDisks()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.started = true
+	s.start = time.Now()
+	slowed := -1
+	s.afterSolve = func(w *worker, q *Query) {
+		if slowed >= 0 {
+			return
+		}
+		for j, k := range w.res.Schedule.Counts {
+			if k > 0 {
+				slowed = j
+				break
+			}
+		}
+		s.mu.Lock()
+		s.slow[slowed] = 4
+		s.mu.Unlock()
+		s.faultEpoch.Add(1)
+	}
+	w := s.workers[0]
+	if err := w.serveBatch(qs); err != nil {
+		t.Fatal(err)
+	}
+	if slowed < 0 {
+		t.Fatal("the injection hook never fired")
+	}
+	for i, r := range s.results {
+		if r.Seq != i || r.Rejected || r.ResponseTime <= 0 {
+			t.Fatalf("query %d not served: %+v", i, r)
+		}
+	}
+	for j := range s.busyUntil {
+		if s.busyUntil[j] != w.local[j] {
+			t.Errorf("disk %d (slowed %d): shared horizon %v, batch-local %v", j, slowed, s.busyUntil[j], w.local[j])
+		}
+	}
+}
+
 // TestWorkerDeathMidBatchDrains kills a worker's solver midway through a
 // batch and checks the drain contract: Wait surfaces the death, blocked
 // submitters are released, and every query from the death on stays

@@ -213,19 +213,6 @@ type Options struct {
 	// RetryBackoff is the base of the exponential backoff (with jitter)
 	// between bounce repairs. <= 0 means 50µs.
 	RetryBackoff time.Duration
-	// CacheSize, when positive, enables each worker's signature-keyed
-	// solve cache: a bounded LRU keyed by the query's replica lists and
-	// the (quantized) disk table, tagged with the fault epoch, letting
-	// hot repeated queries skip the solver entirely. Incompatible with
-	// Deterministic mode, whose contract is bit-identity with sim replay.
-	CacheSize int
-	// CacheQuantum, when > 1, quantizes the busy-derived load X_j (rounds
-	// it down to a multiple of the quantum, in microseconds) in the disk
-	// table of cache-enabled workers, so near-identical load vectors
-	// share cache entries. Cached results stay bit-identical to a fresh
-	// solve of the same quantized problem; the quantum bounds the model
-	// error per disk. <= 1 (the default) keys on exact loads.
-	CacheQuantum cost.Micros
 }
 
 // FaultStats are the serving layer's graceful-degradation counters,
@@ -245,16 +232,10 @@ func (o Options) withDefaults() (Options, error) {
 		if o.Workers > 1 {
 			return o, fmt.Errorf("serve: deterministic mode is single-shard (got %d workers)", o.Workers)
 		}
-		if o.CacheSize > 0 {
-			return o, fmt.Errorf("serve: the solve cache is incompatible with deterministic mode (sim replay has no cache)")
-		}
 		if o.BatchParallelism > 1 || o.BatchParallelism < 0 {
 			return o, fmt.Errorf("serve: batch parallelism is incompatible with deterministic mode (replay needs exact sequential semantics)")
 		}
 		o.Workers = 1
-	}
-	if o.CacheSize > 0 && o.CacheQuantum <= 1 {
-		o.CacheQuantum = 1
 	}
 	if o.BatchParallelism < 0 {
 		o.BatchParallelism = threads.Normalize(o.BatchParallelism)
@@ -344,10 +325,8 @@ type Server struct {
 	nCanceled  atomic.Int64
 
 	// Solve-path counters (see SolveStats).
-	nSolves      atomic.Int64
-	nWarm        atomic.Int64
-	nCacheHits   atomic.Int64
-	nCacheMisses atomic.Int64
+	nSolves atomic.Int64
+	nWarm   atomic.Int64
 
 	// afterSolve, when non-nil, runs between a fault-mode solve and its
 	// mid-solve-failure check; in-package tests use it to inject a
@@ -356,22 +335,17 @@ type Server struct {
 }
 
 // SolveStats are the cross-query reuse counters: how many solver calls
-// ran, how many of those warm-started on the previous build, and the
-// solve-cache hit/miss split (zero when the cache is disabled).
+// ran and how many of those warm-started on the previous build.
 type SolveStats struct {
-	Solves      int64 // solver invocations (cache hits excluded)
-	WarmSolves  int64 // solver invocations that warm-started
-	CacheHits   int64 // queries served from the solve cache
-	CacheMisses int64 // cache probes that fell through to the solver
+	Solves     int64 // solver invocations
+	WarmSolves int64 // solver invocations that warm-started
 }
 
 // SolveStats snapshots the cross-query reuse counters.
 func (s *Server) SolveStats() SolveStats {
 	return SolveStats{
-		Solves:      s.nSolves.Load(),
-		WarmSolves:  s.nWarm.Load(),
-		CacheHits:   s.nCacheHits.Load(),
-		CacheMisses: s.nCacheMisses.Load(),
+		Solves:     s.nSolves.Load(),
+		WarmSolves: s.nWarm.Load(),
 	}
 }
 

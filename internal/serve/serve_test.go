@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"imflow/internal/cost"
 	"imflow/internal/decluster"
@@ -227,5 +228,79 @@ func TestSolverErrorPropagates(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "worker") {
 		t.Fatalf("error lost worker attribution: %v", err)
+	}
+}
+
+// hotQueries builds an admission stream that repeats one replica structure
+// for every query — the hot-shape extreme, where every solve after the
+// first can warm-start.
+func hotQueries(stream []sim.Query) []Query {
+	qs := toServeQueries(stream)
+	for i := range qs {
+		qs[i].Replicas = qs[0].Replicas
+	}
+	return qs
+}
+
+// TestServeWarmSolveStats pins the warm-start counter: a single-shard
+// stream of structure-identical queries warms from the second solver call
+// on, so WarmSolves is exactly Solves-1.
+func TestServeWarmSolveStats(t *testing.T) {
+	sys, stream := testStream(t, 30, 3)
+	qs := hotQueries(stream)
+	s, err := New(sys, len(qs), Options{Workers: 1, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(context.Background())
+	for _, q := range qs {
+		if err := s.Submit(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	ss := s.SolveStats()
+	if ss.Solves != int64(len(qs)) {
+		t.Fatalf("solves %d, want %d", ss.Solves, len(qs))
+	}
+	if ss.WarmSolves != ss.Solves-1 {
+		t.Errorf("warm solves %d of %d, want all but the first", ss.WarmSolves, ss.Solves)
+	}
+}
+
+// TestDeterministicDeadlineModelClock is the deterministic-deadline
+// regression test: with a Deadline on every query, replay must serve the
+// whole stream (the model age at serve time is zero — the clock is the
+// query's own arrival) and stay bit-identical to the sim replay, no matter
+// how slowly the wall clock ticks past the tiny deadline.
+func TestDeterministicDeadlineModelClock(t *testing.T) {
+	sys, stream := testStream(t, 50, 19)
+
+	replay, err := sim.New(sys, sim.SolverScheduler{Solver: retrieval.NewPRBinary()}).
+		Run(append([]sim.Query(nil), stream...))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	qs := toServeQueries(stream)
+	for i := range qs {
+		// Far below any plausible wall-clock scheduling jitter: the old
+		// wall-clock check rejected these nondeterministically.
+		qs[i].Deadline = time.Microsecond
+	}
+	results, err := Serve(context.Background(), sys, qs, Options{Deterministic: true, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Rejected {
+			t.Fatalf("query %d rejected by a model-clock deadline of age zero", i)
+		}
+		if r.ResponseTime != replay[i].ResponseTime || r.Finish != replay[i].Finish {
+			t.Fatalf("query %d: serve (%v,%v), sim (%v,%v)", i,
+				r.ResponseTime, r.Finish, replay[i].ResponseTime, replay[i].Finish)
+		}
 	}
 }

@@ -71,7 +71,7 @@ type worker struct {
 	res    retrieval.Result
 
 	local []cost.Micros // concurrent mode: batch-local busy horizons
-	added []int64       // concurrent mode: blocks scheduled this batch, per disk
+	added []cost.Micros // concurrent mode: service time scheduled this batch, per disk
 	batch []Query       // admission batch drain buffer
 
 	// Fault-mode state: the failover view of the pinned solver (nil when
@@ -85,14 +85,9 @@ type worker struct {
 	conflicts []int
 	rng       *xrand.Source
 
-	// cache is the worker's signature-keyed solve cache (nil unless
-	// Options.CacheSize > 0). tableStale marks that a mid-batch fault
-	// refresh may have changed the slowdown factors, so the batch-shared
-	// disk table must be rebuilt before the next query uses it. cacheMu
-	// serializes probe/insert when the batch pool's members share the
-	// cache; the serial paths take it uncontended.
-	cache      *solveCache
-	cacheMu    sync.Mutex
+	// tableStale marks that a mid-batch fault refresh may have changed
+	// the slowdown factors, so the batch-shared disk table must be
+	// rebuilt before the next query uses it.
 	tableStale bool
 
 	// Batch-pool state (nil/empty unless Options.BatchParallelism >= 2):
@@ -130,16 +125,13 @@ func (s *Server) newWorker(id int) *worker {
 		solver: s.opt.NewSolver(),
 		prob:   retrieval.Problem{Disks: make([]retrieval.DiskParams, n)},
 		local:  make([]cost.Micros, n),
-		added:  make([]int64, n),
+		added:  make([]cost.Micros, n),
 		batch:  make([]Query, 0, s.opt.Batch),
 		mask:   retrieval.NewDiskMask(n),
 		slow:   make([]int64, n),
 		rng:    xrand.New(0xfa171 + uint64(id)),
 	}
 	w.fsolver, _ = w.solver.(retrieval.FailoverSolver)
-	if s.opt.CacheSize > 0 {
-		w.cache = newSolveCache(s.opt.CacheSize)
-	}
 	if p := s.opt.BatchParallelism; p >= 2 && !s.opt.Deterministic {
 		w.pool = make([]poolMember, p)
 		for m := range w.pool {
@@ -274,11 +266,11 @@ func (w *worker) serveDeterministic(batch []Query) error {
 // serveConcurrent serves the batch in the online mode: snapshot the shared
 // horizons once, solve the whole batch against the snapshot (each query
 // still seeing the loads of its in-batch predecessors), then fold the
-// blocks the batch scheduled back into the shared horizons. Two lock
-// acquisitions per batch, no lock held while solving. The write-back is
-// additive — start from max(shared horizon, now) and append the batch's
-// blocks — so concurrent workers can never lose each other's load, they
-// only observe it up to one batch late.
+// service time the batch scheduled back into the shared horizons. Two
+// lock acquisitions per batch, no lock held while solving. The write-back
+// is additive — start from max(shared horizon, now) and append the
+// batch's service time — so concurrent workers can never lose each
+// other's load, they only observe it up to one batch late.
 //
 //imflow:noalloc
 func (w *worker) serveConcurrent(batch []Query) error {
@@ -321,17 +313,14 @@ func (w *worker) serveConcurrent(batch []Query) error {
 			if !served {
 				continue // rejected after retry exhaustion, already recorded
 			}
-		} else if !w.probeCache(&dropped) {
+		} else {
 			if err := w.solver.SolveInto(&w.prob, &w.res); err != nil {
 				return err
 			}
 			w.countSolve()
-			w.cacheInsert(dropped)
 		}
 		worst := w.applyLoads(w.local, now)
-		for j, k := range w.res.Schedule.Counts {
-			w.added[j] += k
-		}
+		w.addServiceTime(w.res.Schedule)
 		w.countDegraded(dropped)
 		if s.opt.OnSchedule != nil {
 			s.opt.OnSchedule(w.id, q, &w.prob, w.res.Schedule)
@@ -354,20 +343,7 @@ func (w *worker) serveConcurrent(batch []Query) error {
 			}
 		}
 	}
-	s.mu.Lock()
-	for j, k := range w.added {
-		if k == 0 {
-			continue
-		}
-		start := s.busyUntil[j]
-		if start < now {
-			start = now
-		}
-		// w.prob holds this batch's (possibly slowdown-inflated) disk
-		// parameters; on a healthy run they equal the system's.
-		s.busyUntil[j] = cost.SatAdd(start, cost.SatMul(cost.Micros(k), w.prob.Disks[j].Service))
-	}
-	s.mu.Unlock()
+	w.writeBack(now)
 	return nil
 }
 
@@ -414,9 +390,8 @@ func (w *worker) serveBatchPool(batch []Query) error {
 	}
 
 	// Phase B: parallel solve against the shared table. Member m owns
-	// batch positions todo[m], todo[m+P], ... — slots are index-disjoint,
-	// the disk table is read-only, and the solve cache is serialized by
-	// cacheMu inside probeCacheInto/cacheInsertFrom.
+	// batch positions todo[m], todo[m+P], ... — slots are index-disjoint
+	// and the disk table is read-only.
 	p := len(w.pool)
 	if p > len(todo) {
 		p = len(todo)
@@ -434,15 +409,11 @@ func (w *worker) serveBatchPool(batch []Query) error {
 				slot := &w.slots[i]
 				slot.dropped = 0
 				pm.prob.Replicas = batch[i].Replicas
-				if w.probeCacheInto(&pm.prob, &slot.res, &slot.dropped) {
-					continue
-				}
 				if err := pm.solver.SolveInto(&pm.prob, &slot.res); err != nil {
 					pm.err = err
 					return
 				}
 				w.countSolveFor(&slot.res)
-				w.cacheInsertFrom(&pm.prob, &slot.res, slot.dropped)
 			}
 		}(m)
 	}
@@ -458,9 +429,7 @@ func (w *worker) serveBatchPool(batch []Query) error {
 		q := &batch[i]
 		slot := &w.slots[i]
 		worst := w.applyLoadsFor(slot.res.Schedule, w.local, now)
-		for j, k := range slot.res.Schedule.Counts {
-			w.added[j] += k
-		}
+		w.addServiceTime(slot.res.Schedule)
 		w.countDegraded(slot.dropped)
 		if s.opt.OnSchedule != nil {
 			w.prob.Replicas = q.Replicas
@@ -475,19 +444,46 @@ func (w *worker) serveBatchPool(batch []Query) error {
 			Dropped:      slot.dropped,
 		})
 	}
+	w.writeBack(now)
+	return nil
+}
+
+// addServiceTime charges a served schedule's blocks to the batch's
+// per-disk service-time accumulator, at the service times the schedule
+// was solved against — the same charge applyLoadsFor just added to the
+// batch-local horizons. The charge must be taken per query: a mid-batch
+// fault refresh can move a disk's slowdown factor, and the shared
+// horizons must still agree with the responses the batch reported.
+//
+//imflow:noalloc
+func (w *worker) addServiceTime(sch *retrieval.Schedule) {
+	for j, k := range sch.Counts {
+		if k != 0 {
+			w.added[j] = cost.SatAdd(w.added[j], cost.SatMul(cost.Micros(k), w.prob.Disks[j].Service))
+		}
+	}
+}
+
+// writeBack folds the batch's accumulated service time into the shared
+// busy horizons. It is additive — each touched disk's queue restarts
+// from max(shared horizon, now) — so concurrent workers never lose each
+// other's load.
+//
+//imflow:noalloc
+func (w *worker) writeBack(now cost.Micros) {
+	s := w.srv
 	s.mu.Lock()
-	for j, k := range w.added {
-		if k == 0 {
+	for j, busy := range w.added {
+		if busy == 0 {
 			continue
 		}
 		start := s.busyUntil[j]
 		if start < now {
 			start = now
 		}
-		s.busyUntil[j] = cost.SatAdd(start, cost.SatMul(cost.Micros(k), w.prob.Disks[j].Service))
+		s.busyUntil[j] = cost.SatAdd(start, busy)
 	}
 	s.mu.Unlock()
-	return nil
 }
 
 // rejectLate rejects a query whose admission deadline elapsed (wall
@@ -539,90 +535,6 @@ func (w *worker) countSolveFor(res *retrieval.Result) {
 //imflow:noalloc
 func (w *worker) countSolve() { w.countSolveFor(&w.res) }
 
-// probeCacheInto serves problem p from the solve cache if it holds a
-// same-epoch entry for exactly this key, materializing the hit into res.
-// cacheMu makes the probe-and-materialize atomic against the batch pool's
-// concurrent inserts (which may evict the probed entry); the serial paths
-// take the lock uncontended.
-//
-//imflow:noalloc
-func (w *worker) probeCacheInto(p *retrieval.Problem, res *retrieval.Result, dropped *int) bool {
-	if w.cache == nil {
-		return false
-	}
-	w.cacheMu.Lock()
-	i, ok := w.cache.probe(p, w.epoch)
-	if !ok {
-		w.cacheMu.Unlock()
-		w.srv.nCacheMisses.Add(1)
-		return false
-	}
-	w.materializeInto(res, &w.cache.entries[i], dropped)
-	w.cacheMu.Unlock()
-	w.srv.nCacheHits.Add(1)
-	return true
-}
-
-// probeCache is probeCacheInto on the worker's own pinned problem/result.
-//
-//imflow:noalloc
-func (w *worker) probeCache(dropped *int) bool {
-	return w.probeCacheInto(&w.prob, &w.res, dropped)
-}
-
-// materializeInto fills a pinned Result from a cache entry.
-// Amortized: the Schedule buffers grow to the workload's peak shape once
-// and are then reused, exactly like the solver's own extract path.
-//
-//imflow:allocok
-func (w *worker) materializeInto(res *retrieval.Result, e *cacheEntry, dropped *int) {
-	if res.Schedule == nil {
-		res.Schedule = &retrieval.Schedule{}
-	}
-	sch := res.Schedule
-	if cap(sch.Assignment) < len(e.asn) {
-		sch.Assignment = make([]int, len(e.asn))
-	}
-	sch.Assignment = sch.Assignment[:len(e.asn)]
-	if cap(sch.Counts) < len(e.disks) {
-		sch.Counts = make([]int64, len(e.disks))
-	}
-	sch.Counts = sch.Counts[:len(e.disks)]
-	for j := range sch.Counts {
-		sch.Counts[j] = 0
-	}
-	for i, d := range e.asn {
-		sch.Assignment[i] = int(d)
-		if d >= 0 {
-			sch.Counts[d]++
-		}
-	}
-	sch.ResponseTime = e.resp
-	res.Stats = retrieval.Stats{Engine: "cache"}
-	*dropped = int(e.dropped)
-}
-
-// cacheInsertFrom records a just-solved assignment for p under the
-// batch's epoch, serialized against concurrent pool members by cacheMu.
-//
-//imflow:noalloc
-func (w *worker) cacheInsertFrom(p *retrieval.Problem, res *retrieval.Result, dropped int) {
-	if w.cache == nil {
-		return
-	}
-	w.cacheMu.Lock()
-	w.cache.insert(p, w.epoch, res, dropped)
-	w.cacheMu.Unlock()
-}
-
-// cacheInsert is cacheInsertFrom on the worker's own pinned
-// problem/result.
-//
-//imflow:noalloc
-func (w *worker) cacheInsert(dropped int) {
-	w.cacheInsertFrom(&w.prob, &w.res, dropped)
-}
-
 // countDegraded folds one served query into the graceful-degradation
 // counters.
 //
@@ -661,14 +573,10 @@ func (w *worker) solveMasked(dropped *int) error {
 // jitter; exhaustion rejects the query (recorded, served=false).
 func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int) (served bool, err error) {
 	s := w.srv
-	cached := w.probeCache(dropped)
-	if !cached {
-		if err := w.solveMasked(dropped); err != nil {
-			return false, err
-		}
-		w.countSolve()
-		w.cacheInsert(*dropped)
+	if err := w.solveMasked(dropped); err != nil {
+		return false, err
 	}
+	w.countSolve()
 	if s.afterSolve != nil {
 		s.afterSolve(w, q)
 	}
@@ -688,21 +596,6 @@ func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int)
 		attempt++
 		s.nRetries.Add(1)
 		w.backoff(attempt)
-		if cached {
-			// A cache hit bypassed the solver, so its residual network
-			// does not correspond to this assignment and MarkFailed
-			// cannot repair it in place. Fall back to a full solve under
-			// the refreshed snapshot (the table rebuild picks up any
-			// slowdown changes the refresh observed).
-			cached = false
-			w.buildDiskTable(w.local, now)
-			if err := w.solveMasked(dropped); err != nil {
-				return false, err
-			}
-			w.countSolve()
-			w.cacheInsert(*dropped)
-			continue
-		}
 		for _, d := range w.conflicts {
 			*failovers++
 			s.nFailovers.Add(1)
@@ -793,9 +686,7 @@ func (w *worker) buildDiskTable(busy []cost.Micros, now cost.Micros) {
 
 // refreshDisk recomputes one disk's table row: the system parameters with
 // the residual busy time (as seen at now) as the initial load X_j, exactly
-// as sim.Simulator.ProblemAt computes it. Cache-enabled workers quantize
-// the load (rounding down to Options.CacheQuantum) so near-identical busy
-// vectors share cache keys.
+// as sim.Simulator.ProblemAt computes it.
 //
 //imflow:noalloc
 func (w *worker) refreshDisk(j int, busy []cost.Micros, now cost.Micros) {
@@ -803,11 +694,6 @@ func (w *worker) refreshDisk(j int, busy []cost.Micros, now cost.Micros) {
 	load := cost.Micros(0)
 	if busy[j] > now {
 		load = cost.SatSub(busy[j], now)
-	}
-	if w.cache != nil {
-		if quantum := w.srv.opt.CacheQuantum; quantum > 1 {
-			load = cost.SatSub(load, load%quantum)
-		}
 	}
 	service, delay := d.Service, d.Delay
 	if f := w.slow[j]; f > 1 {

@@ -1,7 +1,6 @@
 // Package threads holds the one thread-count clamping rule shared by
 // every parallel entry point in the module: the parallel push-relabel
-// engine factory, the speculative candidate-time prober, and the serve
-// layer's worker and batch pools. Centralizing the rule keeps "0 means
+// engine factory and the serve layer's worker and batch pools. Centralizing the rule keeps "0 means
 // GOMAXPROCS" consistent everywhere a knob accepts a thread count.
 package threads
 
