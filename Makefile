@@ -28,10 +28,11 @@ test:
 race:
 	$(GO) test -race ./internal/maxflow/... ./internal/retrieval/... ./internal/serve/... ./internal/httpd/... ./internal/sim/... ./internal/fault/... ./internal/analysis/...
 
-## lint: the repository's custom analyzers (microsfloat, satarith,
-## atomicfield, lockguard, noalloc, directive, plus the module-level
-## lockorder, ctxleak, and transitive noalloc) and a curated go vet set —
-## see cmd/imflow-lint. `-json` emits the machine-readable record stream.
+## lint: the repository's twelve custom analyzers (microsfloat, satarith,
+## sattaint, atomicfield, lockguard, noalloc, erruse, directive, plus the
+## module-level transitive noalloc, detpath, lockorder, and ctxleak) and a
+## curated go vet set — see cmd/imflow-lint (`-list` prints the roster).
+## `-json` emits the machine-readable record stream.
 lint:
 	$(GO) run ./cmd/imflow-lint ./...
 
@@ -69,9 +70,9 @@ audit:
 ## failover re-solve carries a max-flow certificate.
 fault-stress:
 	$(GO) test -race -count=3 ./internal/fault/
-	$(GO) test -race -count=3 -run 'Chaos|Failover|Fault|Drain|Deadline|PartialServe|Warm|Compact|BatchPool' ./internal/sim/ ./internal/serve/ ./internal/retrieval/ ./internal/maxflow/...
+	$(GO) test -race -count=3 -run 'Chaos|Failover|Fault|Drain|Deadline|PartialServe|Warm|Compact' ./internal/sim/ ./internal/serve/ ./internal/retrieval/ ./internal/maxflow/...
 	$(GO) test -race -count=3 -run 'Cancel|Disconnect|Shutdown|Shed|Stress|Deadline' ./internal/httpd/ ./internal/serve/
-	$(GO) test -tags imflow_audit -run 'Chaos|Failover|Fault|PartialServe|Warm|Compact|BatchPool' ./internal/sim/ ./internal/serve/ ./internal/integration/ ./internal/retrieval/ ./internal/maxflow/...
+	$(GO) test -tags imflow_audit -run 'Chaos|Failover|Fault|PartialServe|Warm|Compact' ./internal/sim/ ./internal/serve/ ./internal/integration/ ./internal/retrieval/ ./internal/maxflow/...
 
 ## bench: regenerate BENCH_retrieval.json — the steady-state integrated
 ## solve loop (ns/op, allocs/op, work counters) across every engine on the

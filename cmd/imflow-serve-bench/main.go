@@ -2,9 +2,8 @@
 // per paper-scale cell, a sequential replay baseline, a bit-exactness
 // cross-check of the server's deterministic single-shard mode, a
 // saturation throughput run per worker count (queries/sec, p50/p95/p99
-// latency, worker-scaling curve), the same stream through the intra-batch
-// solver pool, and a hot repeated-query workload, written as
-// BENCH_serve.json.
+// latency, worker-scaling curve), and a hot repeated-query workload,
+// written as BENCH_serve.json.
 //
 // With -fault it runs the fault-injection suite instead: per cell, the
 // conserved-flow failover repair timed against a fresh masked re-solve at

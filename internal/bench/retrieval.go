@@ -87,11 +87,6 @@ type RetrievalRecord struct {
 	ArcScans       float64 `json:"arc_scans_per_op"`
 	MeanResponseUs float64 `json:"mean_response_us"`
 
-	// CSR records that the solver's networks were frozen into the CSR
-	// adjacency index (flowgraph.Compact) before the measured solves —
-	// records from before the CSR layout carry false here.
-	CSR bool `json:"csr,omitempty"`
-
 	// Warm* fields measure the cross-query warm-start path: the same
 	// solver re-solving load-perturbed variants of each problem without a
 	// structure change, so every solve after the first reuses the previous
@@ -205,9 +200,6 @@ func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 			}
 			rec.Cell = cfg.String()
 			rec.N = n
-			// Every network-backed solver now freezes its rebuilt network
-			// into the CSR index before solving.
-			rec.CSR = true
 			warmNs, warmAllocs, err := measureWarm(bs.mk(), bs.mk(), inst.Problems, o.Repeats)
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: warm %s: %w", cfg, rec.Solver, err)

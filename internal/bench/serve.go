@@ -30,13 +30,6 @@ type ServeOptions struct {
 	ExpNum     int    `json:"exp_num"`     // Table IV experiment (default 2)
 	MeanGapMs  int    `json:"mean_gap_ms"` // Poisson arrival mean gap (virtual clock)
 
-	// BatchParallelism is the intra-batch solver-pool width for the
-	// "serve-bp" sweep (serve.Options.BatchParallelism); the sweep runs
-	// once per worker count on the same stream as the plain "serve"
-	// records, so pooled vs serial throughput is a same-workload ratio.
-	// Default 2.
-	BatchParallelism int `json:"batch_parallelism"`
-
 	// Hot-workload sweep ("serve-hot"): the stream is rewritten so
 	// HotPercent% of the queries draw their replica structure from a pool
 	// of HotShapes recurring shapes, and the cell is measured once per
@@ -77,9 +70,6 @@ func (o ServeOptions) withDefaults() ServeOptions {
 	if o.HotPercent <= 0 {
 		o.HotPercent = 90
 	}
-	if o.BatchParallelism <= 0 {
-		o.BatchParallelism = 2
-	}
 	return o
 }
 
@@ -101,9 +91,6 @@ type ServeRecord struct {
 	Workers int    `json:"workers"`
 	Queries int    `json:"queries"`
 	Batch   int    `json:"batch,omitempty"`
-	// BatchParallelism is the intra-batch solver-pool width ("serve-bp"
-	// records only; zero on serial-path records).
-	BatchParallelism int `json:"batch_parallelism,omitempty"`
 
 	ElapsedNs int64   `json:"elapsed_ns"`
 	QPS       float64 `json:"queries_per_sec"`
@@ -232,30 +219,20 @@ func RunServe(o ServeOptions) (*ServeReport, error) {
 		report.Records = append(report.Records, replayRec)
 
 		for _, w := range o.Workers {
-			rec, err := measureServe(inst.System, stream, w, o, "serve", 0)
+			rec, err := measureServe(inst.System, stream, w, o, "serve")
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: %d workers: %w", cfg, w, err)
 			}
 			rec.Cell, rec.N = cfg.String(), n
 			rec.SpeedupVsReplay = rec.QPS / replayRec.QPS
 			report.Records = append(report.Records, rec)
-
-			// Same stream through the intra-batch solver pool: pooled vs
-			// serial throughput as a same-workload ratio.
-			bpRec, err := measureServe(inst.System, stream, w, o, "serve-bp", o.BatchParallelism)
-			if err != nil {
-				return nil, fmt.Errorf("bench: cell %s: %d workers batch-pool: %w", cfg, w, err)
-			}
-			bpRec.Cell, bpRec.N = cfg.String(), n
-			bpRec.SpeedupVsReplay = bpRec.QPS / replayRec.QPS
-			report.Records = append(report.Records, bpRec)
 		}
 
 		// Hot workload: the repeated-query stream that warm starts exist
 		// for, one record per worker count.
 		hot := hotStream(stream, o.HotShapes, o.HotPercent, cfg.Seed)
 		for _, w := range o.Workers {
-			hotRec, err := measureServe(inst.System, hot, w, o, "serve-hot", 0)
+			hotRec, err := measureServe(inst.System, hot, w, o, "serve-hot")
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: hot %d workers: %w", cfg, w, err)
 			}
@@ -333,15 +310,13 @@ func measureReplay(sys *storage.System, stream []sim.Query) (ServeRecord, []cost
 
 // measureServe times one saturation pass of the concurrent server: the
 // whole stream is admitted as fast as the bounded queues accept and the
-// pass ends when the last shard drains. batchParallelism >= 2 fans each
-// admission batch across the intra-batch solver pool.
-func measureServe(sys *storage.System, stream []sim.Query, workers int, o ServeOptions, mode string, batchParallelism int) (ServeRecord, error) {
+// pass ends when the last shard drains.
+func measureServe(sys *storage.System, stream []sim.Query, workers int, o ServeOptions, mode string) (ServeRecord, error) {
 	rec := ServeRecord{
 		Mode: mode, Solver: "pr-binary",
 		Workers: workers, Queries: len(stream), Batch: o.Batch,
-		BatchParallelism: batchParallelism,
 	}
-	sopt := serve.Options{Workers: workers, QueueDepth: o.QueueDepth, Batch: o.Batch, BatchParallelism: batchParallelism}
+	sopt := serve.Options{Workers: workers, QueueDepth: o.QueueDepth, Batch: o.Batch}
 	qs := toServeStream(stream)
 	srv, err := serve.New(sys, len(qs), sopt)
 	if err != nil {

@@ -15,10 +15,10 @@ func TestRunServeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One replay record, then per worker count one serve record, one
-	// batch-pool serve record, and one hot-workload record, per cell.
-	if len(report.Records) != 7 {
-		t.Fatalf("%d records, want 7", len(report.Records))
+	// One replay record, then per worker count one serve record and one
+	// hot-workload record, per cell.
+	if len(report.Records) != 5 {
+		t.Fatalf("%d records, want 5", len(report.Records))
 	}
 	replay := report.Records[0]
 	if replay.Mode != "replay" || !replay.DeterministicMatch {
@@ -44,12 +44,6 @@ func TestRunServeShape(t *testing.T) {
 			if r.WarmRate <= 0 {
 				t.Errorf("workers=%d: hot run never warm-started: %+v", r.Workers, r)
 			}
-		}
-		if bp := r.Mode == "serve-bp"; bp != (r.BatchParallelism > 0) {
-			t.Errorf("%s workers=%d: batch_parallelism %d", r.Mode, r.Workers, r.BatchParallelism)
-		}
-		if r.Mode == "serve-bp" && r.SpeedupVsReplay <= 0 {
-			t.Errorf("workers=%d: batch-pool speedup %v", r.Workers, r.SpeedupVsReplay)
 		}
 	}
 	if hot != 2 {

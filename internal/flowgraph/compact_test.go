@@ -127,3 +127,21 @@ func TestCompactInvalidation(t *testing.T) {
 		t.Error("Resize kept the graph frozen")
 	}
 }
+
+// TestCompactFrozenIsNoOp pins the contract every push-relabel Run leans
+// on: Compact on a frozen graph returns at once — no allocation, and no
+// rebuild (a sentinel written into the index survives it).
+func TestCompactFrozenIsNoOp(t *testing.T) {
+	g := randomArcGraph(xrand.New(7))
+	g.Compact()
+	want := g.ArcIdx[0]
+	g.ArcIdx[0] = -7
+	if allocs := testing.AllocsPerRun(100, g.Compact); allocs != 0 {
+		t.Errorf("Compact on a frozen graph allocated %v times per call", allocs)
+	}
+	if g.ArcIdx[0] != -7 {
+		t.Fatal("Compact on a frozen graph rebuilt the index")
+	}
+	g.ArcIdx[0] = want
+	csrMatchesLists(t, g)
+}

@@ -31,8 +31,8 @@ type Graph struct {
 
 	// CSR adjacency index, valid only while frozen (see Compact). The
 	// arcs out of vertex v are ArcIdx[Start[v]:Start[v+1]], listed in
-	// exactly Head/Next order so engines scanning either view visit
-	// arcs in the same sequence. Arc indices themselves never move:
+	// exactly Head/Next order; the push-relabel engines scan only this
+	// view. Arc indices themselves never move:
 	// Cap/Flow/To stay keyed by the original AddEdge indices, which is
 	// what keeps warm reuse, DrainExcess, and disk-arc retuning valid
 	// across compaction.
@@ -123,13 +123,18 @@ func (g *Graph) Compacted() bool { return g.frozen }
 // instead of chasing the Next linked list through memory. Arc indices are
 // NOT remapped — Cap, Flow, To, and every arc id returned by AddEdge keep
 // their meaning — so flows, snapshots, and retuning by arc index survive
-// compaction unchanged. Adding an edge or resizing thaws the graph; call
-// Compact again after a rebuild. Backing arrays are reused across calls,
-// so re-compacting a same-shape rebuild performs no allocations.
+// compaction unchanged. On a frozen graph Compact returns at once, which
+// is what lets every push-relabel Run call it unconditionally; adding an
+// edge or resizing thaws the graph, and the next Compact rebuilds the
+// index. Backing arrays are reused across calls, so re-compacting a
+// same-shape rebuild performs no allocations.
 // Amortized: growth only when the arc set outgrows prior capacity.
 //
 //imflow:allocok
 func (g *Graph) Compact() {
+	if g.frozen {
+		return
+	}
 	if cap(g.Start) < g.N+1 {
 		g.Start = make([]int32, g.N+1)
 	}

@@ -18,6 +18,13 @@ const latencyWindow = 2048
 // controller needs a cheap atomic load on every request, not a sort.
 const p99RefreshEvery = 64
 
+// overflowClient is the per-client table key that absorbs every client id
+// first seen after the table holds rateLimiterMaxClients entries, so a
+// client rotating ids cannot grow the table (or every /metrics response)
+// without bound, and the per-client sums still reconcile with the global
+// counters.
+const overflowClient = "(overflow)"
+
 // metrics is the server's observability state: monotonic counters per
 // outcome class, a sliding latency window, per-client accounting, and
 // the cached p99 the shed controller polls.
@@ -112,12 +119,17 @@ func (m *metrics) percentiles() (p50, p95, p99 float64) {
 }
 
 // addClient folds one request's outcome into the per-client table and
-// the global egress counter.
+// the global egress counter. Once the table is full, new ids are counted
+// under overflowClient.
 func (m *metrics) addClient(id string, served, rateLimited bool, egress int64) {
 	m.egressBytes.Add(egress)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.clients[id]
+	if c == nil && len(m.clients) >= rateLimiterMaxClients {
+		id = overflowClient
+		c = m.clients[id]
+	}
 	if c == nil {
 		c = &clientStats{}
 		m.clients[id] = c

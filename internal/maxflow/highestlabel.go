@@ -15,7 +15,7 @@ type HighestLabel struct {
 
 	height []int32
 	excess []int64
-	curArc []int32
+	curArc []int32 // position into g.ArcIdx, as in PushRelabel
 	hcount []int32
 	bfsq   []int32 // scratch queue for globalRelabel, reused across runs
 
@@ -28,10 +28,6 @@ type HighestLabel struct {
 	// GlobalRelabelInterval as in PushRelabel; 0 means the vertex count,
 	// negative disables periodic recomputation.
 	GlobalRelabelInterval int
-
-	// csr as in PushRelabel: latched from g.Compacted() at Run start;
-	// curArc holds CSR positions instead of arc ids while set.
-	csr bool
 
 	metrics Metrics
 }
@@ -65,13 +61,15 @@ func (hl *HighestLabel) Reset() {
 }
 
 // Run augments the current flow to a maximum s-t flow and returns its
-// value.
+// value. Like PushRelabel.Run it compacts the graph first (a no-op on a
+// frozen graph) and scans only the CSR ranges.
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
 //imflow:allocok
 //imflow:det
 func (hl *HighestLabel) Run(s, t int) int64 {
 	g := hl.g
+	g.Compact()
 	n := g.N
 	hl.ensureSize(n)
 	for i := 0; i < n; i++ {
@@ -82,24 +80,12 @@ func (hl *HighestLabel) Run(s, t int) int64 {
 		hl.active[h] = hl.active[h][:0]
 	}
 	hl.highest = 0
-	hl.csr = g.Compacted()
 
-	if hl.csr {
-		for pos := g.Start[s]; pos < g.Start[s+1]; pos++ {
-			a := g.ArcIdx[pos]
-			if delta := g.Residual(int(a)); delta > 0 {
-				g.Push(int(a), delta)
-				hl.excess[g.To[a]] += delta
-				hl.metrics.Pushes++
-			}
-		}
-	} else {
-		for a := g.Head[s]; a >= 0; a = g.Next[a] {
-			if delta := g.Residual(int(a)); delta > 0 {
-				g.Push(int(a), delta)
-				hl.excess[g.To[a]] += delta
-				hl.metrics.Pushes++
-			}
+	for _, a := range g.ArcIdx[g.Start[s]:g.Start[s+1]] {
+		if delta := g.Residual(int(a)); delta > 0 {
+			g.Push(int(a), delta)
+			hl.excess[g.To[a]] += delta
+			hl.metrics.Pushes++
 		}
 	}
 	hl.globalRelabel(s, t)
@@ -139,41 +125,6 @@ func (hl *HighestLabel) Run(s, t int) int64 {
 // discharge pushes v's excess to admissible neighbors, relabeling once if
 // none remain (caller requeues).
 func (hl *HighestLabel) discharge(v, s, t int) (relabeled bool) {
-	if hl.csr {
-		return hl.dischargeCSR(v, s, t)
-	}
-	g := hl.g
-	for hl.excess[v] > 0 {
-		a := hl.curArc[v]
-		if a < 0 {
-			hl.relabel(v, s, t)
-			return true
-		}
-		hl.metrics.ArcScans++
-		w := g.To[a]
-		if g.Residual(int(a)) > 0 && hl.height[v] == hl.height[w]+1 {
-			delta := hl.excess[v]
-			if r := g.Residual(int(a)); r < delta {
-				delta = r
-			}
-			g.Push(int(a), delta)
-			hl.excess[v] -= delta
-			hl.excess[w] += delta
-			hl.metrics.Pushes++
-			if int(w) != s && int(w) != t {
-				hl.push(w)
-			}
-			continue
-		}
-		hl.curArc[v] = g.Next[a]
-	}
-	return false
-}
-
-// dischargeCSR is discharge over the frozen CSR ranges (same arc order as
-// the linked-list walk; curArc holds positions, exhaustion is the range
-// end).
-func (hl *HighestLabel) dischargeCSR(v, s, t int) (relabeled bool) {
 	g := hl.g
 	end := g.Start[v+1]
 	for hl.excess[v] > 0 {
@@ -204,38 +155,17 @@ func (hl *HighestLabel) dischargeCSR(v, s, t int) (relabeled bool) {
 	return false
 }
 
-// firstArc returns the reset value for curArc[v] in the active traversal
-// mode.
-func (hl *HighestLabel) firstArc(v int) int32 {
-	if hl.csr {
-		return hl.g.Start[v]
-	}
-	return hl.g.Head[v]
-}
-
 // relabel lifts v to one above its lowest residual neighbor, with the gap
 // heuristic.
 func (hl *HighestLabel) relabel(v, s, t int) {
 	g := hl.g
 	n := int32(g.N)
 	minH := int32(2 * g.N)
-	if hl.csr {
-		for pos := g.Start[v]; pos < g.Start[v+1]; pos++ {
-			a := g.ArcIdx[pos]
-			hl.metrics.ArcScans++
-			if g.Residual(int(a)) > 0 {
-				if h := hl.height[g.To[a]]; h < minH {
-					minH = h
-				}
-			}
-		}
-	} else {
-		for a := g.Head[v]; a >= 0; a = g.Next[a] {
-			hl.metrics.ArcScans++
-			if g.Residual(int(a)) > 0 {
-				if h := hl.height[g.To[a]]; h < minH {
-					minH = h
-				}
+	for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
+		hl.metrics.ArcScans++
+		if g.Residual(int(a)) > 0 {
+			if h := hl.height[g.To[a]]; h < minH {
+				minH = h
 			}
 		}
 	}
@@ -245,13 +175,13 @@ func (hl *HighestLabel) relabel(v, s, t int) {
 		newH = 2 * n
 	}
 	if newH <= old {
-		hl.curArc[v] = hl.firstArc(v)
+		hl.curArc[v] = g.Start[v]
 		return
 	}
 	hl.hcount[old]--
 	hl.height[v] = newH
 	hl.hcount[newH]++
-	hl.curArc[v] = hl.firstArc(v)
+	hl.curArc[v] = g.Start[v]
 	hl.metrics.Relabels++
 
 	if hl.hcount[old] == 0 && old < n {
@@ -263,7 +193,7 @@ func (hl *HighestLabel) relabel(v, s, t int) {
 				hl.hcount[h]--
 				hl.height[u] = n + 1
 				hl.hcount[n+1]++
-				hl.curArc[u] = hl.firstArc(u)
+				hl.curArc[u] = g.Start[u]
 			}
 		}
 		hl.rebuildBuckets(s, t)
@@ -330,7 +260,7 @@ func (hl *HighestLabel) globalRelabel(s, t int) {
 	hl.metrics.GlobalRelabels++
 	for i := 0; i < g.N; i++ {
 		hl.height[i] = 2 * n
-		hl.curArc[i] = hl.firstArc(i)
+		hl.curArc[i] = g.Start[i]
 	}
 	for i := range hl.hcount[:2*g.N+1] {
 		hl.hcount[i] = 0
@@ -340,19 +270,7 @@ func (hl *HighestLabel) globalRelabel(s, t int) {
 		q := append(hl.bfsq[:0], int32(root))
 		for head := 0; head < len(q); head++ {
 			v := q[head]
-			if hl.csr {
-				for pos := g.Start[v]; pos < g.Start[v+1]; pos++ {
-					a := g.ArcIdx[pos]
-					hl.metrics.ArcScans++
-					u := g.To[a]
-					if g.Residual(int(a)^1) > 0 && hl.height[u] == 2*n && int(u) != s && int(u) != t {
-						hl.height[u] = hl.height[v] + 1
-						q = append(q, u)
-					}
-				}
-				continue
-			}
-			for a := g.Head[v]; a >= 0; a = g.Next[a] {
+			for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
 				hl.metrics.ArcScans++
 				u := g.To[a]
 				if g.Residual(int(a)^1) > 0 && hl.height[u] == 2*n && int(u) != s && int(u) != t {

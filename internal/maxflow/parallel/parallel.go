@@ -84,13 +84,6 @@ type Solver struct {
 	grWork      atomic.Int64
 	grThreshold int64
 
-	// csr is latched from g.Compacted() during Run's sequential
-	// preparation, before any worker starts, and read-only afterwards:
-	// dischargers and the BFS passes scan the frozen Start/ArcIdx ranges
-	// instead of chasing Next. The arc order matches the linked list, so
-	// runs are bit-identical either way.
-	csr bool
-
 	pushes   atomic.Int64
 	relabels atomic.Int64
 
@@ -143,7 +136,9 @@ func (s *Solver) Metrics() *maxflow.Metrics { return &s.metrics }
 func (s *Solver) Threads() int { return s.threads }
 
 // Run augments the graph's current flow to a maximum s-t flow and returns
-// its value.
+// its value. It compacts the graph in its sequential preparation (a no-op
+// on a frozen graph); the index is read-only while the workers run, and
+// every adjacency scan reads the contiguous CSR ranges.
 //
 // Run touches the atomic arrays plainly only in its sequential sections:
 // the preparation before any worker goroutine starts and the write-back
@@ -156,6 +151,7 @@ func (s *Solver) Threads() int { return s.threads }
 //imflow:allocok
 func (s *Solver) Run(src, sink int) int64 {
 	g := s.g
+	g.Compact()
 	n := g.N
 	if len(s.excess) < n {
 		s.excess = make([]int64, n)
@@ -175,23 +171,11 @@ func (s *Solver) Run(src, sink int) int64 {
 		s.inQueue[v] = 0
 	}
 	// Saturate residual source arcs, creating the initial excesses.
-	s.csr = g.Compacted()
-	if s.csr {
-		for pos := g.Start[src]; pos < g.Start[src+1]; pos++ {
-			a := g.ArcIdx[pos]
-			if delta := s.res[a]; delta > 0 {
-				s.res[a] = 0
-				s.res[a^1] += delta
-				s.excess[g.To[a]] += delta
-			}
-		}
-	} else {
-		for a := g.Head[src]; a >= 0; a = g.Next[a] {
-			if delta := s.res[a]; delta > 0 {
-				s.res[a] = 0
-				s.res[a^1] += delta
-				s.excess[g.To[a]] += delta
-			}
+	for _, a := range g.ArcIdx[g.Start[src]:g.Start[src+1]] {
+		if delta := s.res[a]; delta > 0 {
+			s.res[a] = 0
+			s.res[a^1] += delta
+			s.excess[g.To[a]] += delta
 		}
 	}
 	s.exactHeights(src, sink)
@@ -305,26 +289,13 @@ func (s *Solver) discharge(v, src, sink int) {
 		// vanish before our push attempt.
 		minH := int64(1) << 62
 		minArc := int32(-1)
-		if s.csr {
-			for pos := g.Start[v]; pos < g.Start[v+1]; pos++ {
-				a := g.ArcIdx[pos]
-				if atomic.LoadInt64(&s.res[a]) <= 0 {
-					continue
-				}
-				if h := atomic.LoadInt64(&s.height[g.To[a]]); h < minH {
-					minH = h
-					minArc = a
-				}
+		for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
+			if atomic.LoadInt64(&s.res[a]) <= 0 {
+				continue
 			}
-		} else {
-			for a := g.Head[v]; a >= 0; a = g.Next[a] {
-				if atomic.LoadInt64(&s.res[a]) <= 0 {
-					continue
-				}
-				if h := atomic.LoadInt64(&s.height[g.To[a]]); h < minH {
-					minH = h
-					minArc = a
-				}
+			if h := atomic.LoadInt64(&s.height[g.To[a]]); h < minH {
+				minH = h
+				minArc = a
 			}
 		}
 		if minArc < 0 {
@@ -404,7 +375,7 @@ func (s *Solver) drainExcess(src, sink int) {
 			head := int32(v)
 			for int(head) != src {
 				var inArc int32 = -1
-				for a := g.Head[head]; a >= 0; a = g.Next[a] {
+				for _, a := range g.ArcIdx[g.Start[head]:g.Start[head+1]] {
 					// Arc a leaves head; its dual a^1 enters head. Flow into
 					// head over the dual is positive iff flowOn(a^1) > 0.
 					if flowOn(a^1) > 0 {
@@ -538,18 +509,7 @@ func (s *Solver) bfsHeights(dist []int64, src, sink int) {
 	q := append(s.bfsq[:0], int32(sink))
 	for head := 0; head < len(q); head++ {
 		v := q[head]
-		if s.csr {
-			for pos := g.Start[v]; pos < g.Start[v+1]; pos++ {
-				a := g.ArcIdx[pos]
-				u := g.To[a]
-				if atomic.LoadInt64(&s.res[int(a)^1]) > 0 && dist[u] == n && int(u) != src && int(u) != sink {
-					dist[u] = dist[v] + 1
-					q = append(q, u)
-				}
-			}
-			continue
-		}
-		for a := g.Head[v]; a >= 0; a = g.Next[a] {
+		for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
 			u := g.To[a]
 			if atomic.LoadInt64(&s.res[int(a)^1]) > 0 && dist[u] == n && int(u) != src && int(u) != sink {
 				dist[u] = dist[v] + 1
@@ -575,18 +535,7 @@ func (s *Solver) exactHeights(src, sink int) {
 	q := append(s.bfsq[:0], int32(sink))
 	for head := 0; head < len(q); head++ {
 		v := q[head]
-		if s.csr {
-			for pos := g.Start[v]; pos < g.Start[v+1]; pos++ {
-				a := g.ArcIdx[pos]
-				u := g.To[a]
-				if s.res[a^1] > 0 && s.height[u] == n && int(u) != src && int(u) != sink {
-					s.height[u] = s.height[v] + 1
-					q = append(q, u)
-				}
-			}
-			continue
-		}
-		for a := g.Head[v]; a >= 0; a = g.Next[a] {
+		for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
 			u := g.To[a]
 			// residual arc u->v exists iff the dual arc has capacity left
 			if s.res[a^1] > 0 && s.height[u] == n && int(u) != src && int(u) != sink {

@@ -28,7 +28,7 @@ type PushRelabel struct {
 
 	height  []int32
 	excess  []int64
-	curArc  []int32
+	curArc  []int32 // position into g.ArcIdx; v's range ends at g.Start[v+1]
 	queue   []int32
 	inQueue []bool
 	hcount  []int32 // number of vertices at each height, for the gap heuristic
@@ -39,13 +39,6 @@ type PushRelabel struct {
 	// count). Set it to a negative value to disable periodic global
 	// relabeling (the exact initialization still runs).
 	GlobalRelabelInterval int
-
-	// csr is latched from g.Compacted() at the top of Run. In CSR mode
-	// curArc[v] holds a position into g.ArcIdx (range end g.Start[v+1])
-	// instead of an arc id, and every adjacency walk scans the frozen
-	// contiguous range — same arcs, same order, so runs are bit-identical
-	// to the linked-list traversal.
-	csr bool
 
 	metrics Metrics
 }
@@ -79,13 +72,15 @@ func (pr *PushRelabel) Reset() {
 }
 
 // Run augments the current flow to a maximum s-t flow and returns its
-// value.
+// value. It compacts the graph first (a no-op on a frozen graph), so
+// every adjacency scan reads the contiguous CSR ranges.
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
 //imflow:allocok
 //imflow:det
 func (pr *PushRelabel) Run(s, t int) int64 {
 	g := pr.g
+	g.Compact()
 	n := g.N
 	pr.ensureSize(n)
 	for i := 0; i < n; i++ {
@@ -93,26 +88,14 @@ func (pr *PushRelabel) Run(s, t int) int64 {
 		pr.inQueue[i] = false
 	}
 	pr.queue = pr.queue[:0]
-	pr.csr = g.Compacted()
 
 	// Saturate residual source arcs: the current flow plus these pushes is
 	// a preflow whose excesses sit at the source's neighbors.
-	if pr.csr {
-		for pos := g.Start[s]; pos < g.Start[s+1]; pos++ {
-			a := g.ArcIdx[pos]
-			if delta := g.Residual(int(a)); delta > 0 {
-				g.Push(int(a), delta)
-				pr.excess[g.To[a]] += delta
-				pr.metrics.Pushes++
-			}
-		}
-	} else {
-		for a := g.Head[s]; a >= 0; a = g.Next[a] {
-			if delta := g.Residual(int(a)); delta > 0 {
-				g.Push(int(a), delta)
-				pr.excess[g.To[a]] += delta
-				pr.metrics.Pushes++
-			}
+	for _, a := range g.ArcIdx[g.Start[s]:g.Start[s+1]] {
+		if delta := g.Residual(int(a)); delta > 0 {
+			g.Push(int(a), delta)
+			pr.excess[g.To[a]] += delta
+			pr.metrics.Pushes++
 		}
 	}
 	pr.globalRelabel(s, t)
@@ -154,48 +137,13 @@ func (pr *PushRelabel) Run(s, t int) int64 {
 // relabels v once and returns true (FIFO discipline: the caller requeues v
 // if it still has excess).
 func (pr *PushRelabel) discharge(v, s, t int) (relabeled bool) {
-	if pr.csr {
-		return pr.dischargeCSR(v, s, t)
-	}
-	g := pr.g
-	for pr.excess[v] > 0 {
-		a := pr.curArc[v]
-		if a < 0 {
-			// Arc list exhausted: relabel to one above the lowest residual
-			// neighbor.
-			pr.relabel(v, s, t)
-			return true
-		}
-		pr.metrics.ArcScans++
-		w := g.To[a]
-		if g.Residual(int(a)) > 0 && pr.height[v] == pr.height[w]+1 {
-			delta := pr.excess[v]
-			if r := g.Residual(int(a)); r < delta {
-				delta = r
-			}
-			g.Push(int(a), delta)
-			pr.excess[v] -= delta
-			pr.excess[w] += delta
-			pr.metrics.Pushes++
-			if int(w) != s && int(w) != t && !pr.inQueue[w] {
-				pr.enqueue(w)
-			}
-			continue // the same arc may still be admissible
-		}
-		pr.curArc[v] = g.Next[a]
-	}
-	return false
-}
-
-// dischargeCSR is discharge over the frozen CSR ranges: curArc[v] is a
-// position into g.ArcIdx and exhaustion is the end of v's contiguous
-// range. The arc sequence matches the linked-list walk exactly.
-func (pr *PushRelabel) dischargeCSR(v, s, t int) (relabeled bool) {
 	g := pr.g
 	end := g.Start[v+1]
 	for pr.excess[v] > 0 {
 		pos := pr.curArc[v]
 		if pos >= end {
+			// Arc range exhausted: relabel to one above the lowest residual
+			// neighbor.
 			pr.relabel(v, s, t)
 			return true
 		}
@@ -221,38 +169,17 @@ func (pr *PushRelabel) dischargeCSR(v, s, t int) (relabeled bool) {
 	return false
 }
 
-// firstArc returns the reset value for curArc[v]: the first CSR position
-// in frozen mode, the head arc id otherwise.
-func (pr *PushRelabel) firstArc(v int) int32 {
-	if pr.csr {
-		return pr.g.Start[v]
-	}
-	return pr.g.Head[v]
-}
-
 // relabel lifts v to one above its lowest residual neighbor, applying the
 // gap heuristic when v's old height level empties out.
 func (pr *PushRelabel) relabel(v, s, t int) {
 	g := pr.g
 	n := int32(g.N)
 	minH := int32(2 * g.N) // "unreachable" ceiling
-	if pr.csr {
-		for pos := g.Start[v]; pos < g.Start[v+1]; pos++ {
-			a := g.ArcIdx[pos]
-			pr.metrics.ArcScans++
-			if g.Residual(int(a)) > 0 {
-				if h := pr.height[g.To[a]]; h < minH {
-					minH = h
-				}
-			}
-		}
-	} else {
-		for a := g.Head[v]; a >= 0; a = g.Next[a] {
-			pr.metrics.ArcScans++
-			if g.Residual(int(a)) > 0 {
-				if h := pr.height[g.To[a]]; h < minH {
-					minH = h
-				}
+	for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
+		pr.metrics.ArcScans++
+		if g.Residual(int(a)) > 0 {
+			if h := pr.height[g.To[a]]; h < minH {
+				minH = h
 			}
 		}
 	}
@@ -264,13 +191,13 @@ func (pr *PushRelabel) relabel(v, s, t int) {
 	if newH <= old {
 		// Heights are monotone; a stale current-arc pointer is the only way
 		// to get here, and resetting it retries the scan.
-		pr.curArc[v] = pr.firstArc(v)
+		pr.curArc[v] = g.Start[v]
 		return
 	}
 	pr.hcount[old]--
 	pr.height[v] = newH
 	pr.hcount[newH]++
-	pr.curArc[v] = pr.firstArc(v)
+	pr.curArc[v] = g.Start[v]
 	pr.metrics.Relabels++
 
 	// Gap heuristic: if no vertex remains at height `old` and old < n, no
@@ -285,7 +212,7 @@ func (pr *PushRelabel) relabel(v, s, t int) {
 				pr.hcount[h]--
 				pr.height[u] = n + 1
 				pr.hcount[n+1]++
-				pr.curArc[u] = pr.firstArc(u)
+				pr.curArc[u] = g.Start[u]
 			}
 		}
 	}
@@ -301,7 +228,7 @@ func (pr *PushRelabel) globalRelabel(s, t int) {
 	pr.metrics.GlobalRelabels++
 	for i := 0; i < g.N; i++ {
 		pr.height[i] = 2 * n
-		pr.curArc[i] = pr.firstArc(i)
+		pr.curArc[i] = g.Start[i]
 	}
 	for i := range pr.hcount[:2*g.N+1] {
 		pr.hcount[i] = 0
@@ -314,19 +241,7 @@ func (pr *PushRelabel) globalRelabel(s, t int) {
 		q := append(pr.bfsq[:0], int32(root))
 		for head := 0; head < len(q); head++ {
 			v := q[head]
-			if pr.csr {
-				for pos := g.Start[v]; pos < g.Start[v+1]; pos++ {
-					a := g.ArcIdx[pos]
-					pr.metrics.ArcScans++
-					u := g.To[a]
-					if g.Residual(int(a)^1) > 0 && pr.height[u] == 2*n && int(u) != s && int(u) != t {
-						pr.height[u] = pr.height[v] + 1
-						q = append(q, u)
-					}
-				}
-				continue
-			}
-			for a := g.Head[v]; a >= 0; a = g.Next[a] {
+			for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
 				pr.metrics.ArcScans++
 				u := g.To[a]
 				// residual arc u->v exists iff the dual arc has capacity left

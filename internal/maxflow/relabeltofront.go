@@ -9,14 +9,11 @@ import "imflow/internal/flowgraph"
 // heuristic-equipped FIFO implementation is an improvement over, and as an
 // extra cross-validation engine.
 type RelabelToFront struct {
-	g      *flowgraph.Graph
-	height []int32
-	excess []int64
-	curArc []int32
-	list   []int32 // the textbook L list, reused across runs
-	// csr as in PushRelabel: latched from g.Compacted() at Run start;
-	// curArc holds CSR positions instead of arc ids while set.
-	csr     bool
+	g       *flowgraph.Graph
+	height  []int32
+	excess  []int64
+	curArc  []int32 // position into g.ArcIdx, as in PushRelabel
+	list    []int32 // the textbook L list, reused across runs
 	metrics Metrics
 }
 
@@ -54,46 +51,32 @@ func (rt *RelabelToFront) Reset() {
 }
 
 // Run augments the current flow to a maximum s-t flow and returns its
-// value.
+// value. Like PushRelabel.Run it compacts the graph first (a no-op on a
+// frozen graph) and scans only the CSR ranges.
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
 //imflow:allocok
 //imflow:det
 func (rt *RelabelToFront) Run(s, t int) int64 {
 	g := rt.g
+	g.Compact()
 	n := g.N
 	if len(rt.height) < n {
 		rt.height = make([]int32, n)
 		rt.excess = make([]int64, n)
 		rt.curArc = make([]int32, n)
 	}
-	rt.csr = g.Compacted()
 	for v := 0; v < n; v++ {
 		rt.height[v] = 0
 		rt.excess[v] = 0
-		if rt.csr {
-			rt.curArc[v] = g.Start[v]
-		} else {
-			rt.curArc[v] = g.Head[v]
-		}
+		rt.curArc[v] = g.Start[v]
 	}
 	rt.height[s] = int32(n)
-	if rt.csr {
-		for pos := g.Start[s]; pos < g.Start[s+1]; pos++ {
-			a := g.ArcIdx[pos]
-			if delta := g.Residual(int(a)); delta > 0 {
-				g.Push(int(a), delta)
-				rt.excess[g.To[a]] += delta
-				rt.metrics.Pushes++
-			}
-		}
-	} else {
-		for a := g.Head[s]; a >= 0; a = g.Next[a] {
-			if delta := g.Residual(int(a)); delta > 0 {
-				g.Push(int(a), delta)
-				rt.excess[g.To[a]] += delta
-				rt.metrics.Pushes++
-			}
+	for _, a := range g.ArcIdx[g.Start[s]:g.Start[s+1]] {
+		if delta := g.Residual(int(a)); delta > 0 {
+			g.Push(int(a), delta)
+			rt.excess[g.To[a]] += delta
+			rt.metrics.Pushes++
 		}
 	}
 
@@ -124,49 +107,6 @@ func (rt *RelabelToFront) Run(s, t int) int64 {
 
 // dischargeFully drains v's excess completely, relabeling as needed.
 func (rt *RelabelToFront) dischargeFully(v int) {
-	if rt.csr {
-		rt.dischargeFullyCSR(v)
-		return
-	}
-	g := rt.g
-	for rt.excess[v] > 0 {
-		a := rt.curArc[v]
-		if a < 0 {
-			// relabel
-			minH := int32(2 * g.N)
-			for b := g.Head[v]; b >= 0; b = g.Next[b] {
-				rt.metrics.ArcScans++
-				if g.Residual(int(b)) > 0 {
-					if h := rt.height[g.To[b]]; h < minH {
-						minH = h
-					}
-				}
-			}
-			rt.height[v] = minH + 1
-			rt.curArc[v] = g.Head[v]
-			rt.metrics.Relabels++
-			continue
-		}
-		rt.metrics.ArcScans++
-		w := g.To[a]
-		if g.Residual(int(a)) > 0 && rt.height[v] == rt.height[w]+1 {
-			delta := rt.excess[v]
-			if r := g.Residual(int(a)); r < delta {
-				delta = r
-			}
-			g.Push(int(a), delta)
-			rt.excess[v] -= delta
-			rt.excess[w] += delta
-			rt.metrics.Pushes++
-			continue
-		}
-		rt.curArc[v] = g.Next[a]
-	}
-}
-
-// dischargeFullyCSR is dischargeFully over the frozen CSR ranges (same arc
-// order; curArc holds positions, exhaustion is the range end).
-func (rt *RelabelToFront) dischargeFullyCSR(v int) {
 	g := rt.g
 	end := g.Start[v+1]
 	for rt.excess[v] > 0 {
@@ -174,8 +114,7 @@ func (rt *RelabelToFront) dischargeFullyCSR(v int) {
 		if pos >= end {
 			// relabel
 			minH := int32(2 * g.N)
-			for p := g.Start[v]; p < end; p++ {
-				b := g.ArcIdx[p]
+			for _, b := range g.ArcIdx[g.Start[v]:end] {
 				rt.metrics.ArcScans++
 				if g.Residual(int(b)) > 0 {
 					if h := rt.height[g.To[b]]; h < minH {

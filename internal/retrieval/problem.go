@@ -391,11 +391,6 @@ func (net *network) rebuildMasked(p *Problem, mask *DiskMask) {
 		net.diskArc[k] = g.AddEdge(net.diskVtx[k], net.t, 0)
 		net.caps[k] = 0
 	}
-	// Freeze the finished arc set into the CSR adjacency index: every
-	// engine run between now and the next rebuild scans contiguous ranges.
-	// Compaction does not move arc indices, so srcArc/diskArc and the warm
-	// and failover paths that retune by index stay valid.
-	g.Compact()
 	net.prob = p
 	net.recordSignature(p)
 }

@@ -154,22 +154,6 @@ type Options struct {
 	// Batch caps how many queued queries a worker coalesces into one
 	// admission batch (one load snapshot, one write-back). <= 0 means 16.
 	Batch int
-	// BatchParallelism, when >= 2, fans each admission batch across a
-	// small pool of additional pinned solvers inside the worker: the
-	// batch's queries are solved concurrently against the batch-shared
-	// disk table, then written back serially in batch order (OnSchedule,
-	// load application, and results all observe the original ordering).
-	// The pool trades the serial path's intra-batch load feedback —
-	// queries in one batch no longer see the loads of their in-batch
-	// predecessors when choosing assignments, only the batch-start
-	// snapshot — for solve throughput; the reported response times still
-	// account for every predecessor, because the write-back replays the
-	// batch in order. Fault-mode batches bypass the pool (the in-place
-	// failover repair is inherently sequential), as do single-query
-	// batches. 0 or 1 means serial (the default); < 0 means one pool
-	// member per CPU (threads.Normalize). Incompatible with Deterministic
-	// mode, whose contract is exact sequential semantics.
-	BatchParallelism int
 	// NewSolver builds each worker's pinned solver. nil means
 	// retrieval.NewPRBinary. The factory must return a fresh solver per
 	// call: workers never share one.
@@ -232,13 +216,7 @@ func (o Options) withDefaults() (Options, error) {
 		if o.Workers > 1 {
 			return o, fmt.Errorf("serve: deterministic mode is single-shard (got %d workers)", o.Workers)
 		}
-		if o.BatchParallelism > 1 || o.BatchParallelism < 0 {
-			return o, fmt.Errorf("serve: batch parallelism is incompatible with deterministic mode (replay needs exact sequential semantics)")
-		}
 		o.Workers = 1
-	}
-	if o.BatchParallelism < 0 {
-		o.BatchParallelism = threads.Normalize(o.BatchParallelism)
 	}
 	if o.Workers <= 0 {
 		o.Workers = threads.Normalize(o.Workers)
@@ -518,7 +496,7 @@ func (s *Server) Start(ctx context.Context) {
 
 // now returns the wall clock as model microseconds since Start.
 //
-//imflow:detsafe wall-clock admission horizon, captured once per batch before any fan-out; every pool width sees the same value
+//imflow:detsafe wall-clock admission horizon of the online path, read once per batch; the deterministic mode's clock is the query arrival
 func (s *Server) now() cost.Micros {
 	return cost.Micros(time.Since(s.start) / time.Microsecond)
 }

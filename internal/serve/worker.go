@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"imflow/internal/cost"
@@ -42,7 +41,7 @@ func (w *worker) record(r Result) {
 // paths only — the deterministic mode ignores Query.Ctx, because a
 // wall-clock cancellation check would make replay scheduling-dependent.
 //
-//imflow:detsafe cancellation is an external wall-clock event; canceled queries are recorded, never served, so pool width cannot change any served response
+//imflow:detsafe cancellation is an external wall-clock event; canceled queries are recorded, never served, so no served response depends on it
 //imflow:noalloc
 func (w *worker) rejectCanceled(q *Query) bool {
 	if q.Ctx == nil {
@@ -89,31 +88,6 @@ type worker struct {
 	// the slowdown factors, so the batch-shared disk table must be
 	// rebuilt before the next query uses it.
 	tableStale bool
-
-	// Batch-pool state (nil/empty unless Options.BatchParallelism >= 2):
-	// the extra pinned solvers the batch fans across, one pinned result
-	// slot per batch position (index-disjoint across pool members), and
-	// the batch positions that survived admission.
-	pool  []poolMember
-	slots []poolSlot
-	todo  []int
-}
-
-// poolMember is one pinned solver of the worker's intra-batch pool. Its
-// Problem's disk table aliases the worker's batch-shared table (read-only
-// while the pool is running); only the replica lists change per query.
-type poolMember struct {
-	solver retrieval.ReusableSolver
-	prob   retrieval.Problem
-	err    error
-}
-
-// poolSlot is the per-batch-position solve outcome: pinned like every
-// other worker buffer, so the schedule arrays converge to the workload's
-// peak shape and are then reused forever.
-type poolSlot struct {
-	res     retrieval.Result
-	dropped int
 }
 
 // newWorker builds worker id with its pinned solver and presized state.
@@ -132,17 +106,6 @@ func (s *Server) newWorker(id int) *worker {
 		rng:    xrand.New(0xfa171 + uint64(id)),
 	}
 	w.fsolver, _ = w.solver.(retrieval.FailoverSolver)
-	if p := s.opt.BatchParallelism; p >= 2 && !s.opt.Deterministic {
-		w.pool = make([]poolMember, p)
-		for m := range w.pool {
-			w.pool[m].solver = s.opt.NewSolver()
-			// Alias the worker's batch-shared disk table: phase B reads it,
-			// nobody writes it while the pool runs.
-			w.pool[m].prob.Disks = w.prob.Disks
-		}
-		w.slots = make([]poolSlot, s.opt.Batch)
-		w.todo = make([]int, 0, s.opt.Batch)
-	}
 	for j := range w.slow {
 		w.slow[j] = 1
 	}
@@ -187,16 +150,10 @@ func (w *worker) loop(queue <-chan Query) {
 	}
 }
 
-// serveBatch dispatches on the server mode. The batch pool takes over
-// only for multi-query batches on the healthy online path: fault-mode
-// repair is inherently sequential, and a single query has nothing to fan
-// out.
+// serveBatch dispatches on the server mode.
 func (w *worker) serveBatch(batch []Query) error {
 	if w.srv.opt.Deterministic {
 		return w.serveDeterministic(batch)
-	}
-	if len(w.pool) > 0 && len(batch) > 1 && !w.srv.faultOn.Load() {
-		return w.serveBatchPool(batch)
 	}
 	return w.serveConcurrent(batch)
 }
@@ -347,110 +304,9 @@ func (w *worker) serveConcurrent(batch []Query) error {
 	return nil
 }
 
-// serveBatchPool is the intra-batch parallel variant of serveConcurrent:
-// one shared-horizon snapshot and one batch-shared disk table (phase A),
-// the batch's queries solved concurrently across the pinned pool members
-// (phase B, round-robin by batch position), then a serial write-back in
-// exact batch order (phase C) — so OnSchedule, the load application, and
-// the recorded response times are ordered precisely as the serial path
-// orders them. The assignments themselves are chosen against the
-// batch-start table (no intra-batch load feedback; see
-// Options.BatchParallelism), but each reported response replays the batch
-// serially, so it accounts for every in-batch predecessor's load.
-//
-// The goroutine fan-out and its closures allocate per batch by design,
-// exactly like the parallel max-flow engine; the pool path is therefore a
-// boundary leaf of the noalloc walk.
-//
-//imflow:allocok
-//imflow:det
-func (w *worker) serveBatchPool(batch []Query) error {
-	s := w.srv
-	now := s.now()
-	s.mu.Lock()
-	copy(w.local, s.busyUntil)
-	s.mu.Unlock()
-	for j := range w.added {
-		w.added[j] = 0
-	}
-	w.buildDiskTable(w.local, now)
-
-	// Phase A: admission. Reject late queries up front so the pool only
-	// sees solvable work.
-	todo := w.todo[:0]
-	for i := range batch {
-		q := &batch[i]
-		if !w.rejectCanceled(q) && !w.rejectLate(q) {
-			todo = append(todo, i)
-		}
-	}
-	w.todo = todo
-	if len(todo) == 0 {
-		return nil
-	}
-
-	// Phase B: parallel solve against the shared table. Member m owns
-	// batch positions todo[m], todo[m+P], ... — slots are index-disjoint
-	// and the disk table is read-only.
-	p := len(w.pool)
-	if p > len(todo) {
-		p = len(todo)
-	}
-	var wg sync.WaitGroup
-	for m := 0; m < p; m++ {
-		pm := &w.pool[m]
-		pm.err = nil
-		wg.Add(1)
-		//lint:ignore detpath index-disjoint slots solved against a read-only table; the serial phase-C write-back replays batch order, so results are pool-width-invariant
-		go func(m int) {
-			defer wg.Done()
-			for j := m; j < len(todo); j += p {
-				i := todo[j]
-				slot := &w.slots[i]
-				slot.dropped = 0
-				pm.prob.Replicas = batch[i].Replicas
-				if err := pm.solver.SolveInto(&pm.prob, &slot.res); err != nil {
-					pm.err = err
-					return
-				}
-				w.countSolveFor(&slot.res)
-			}
-		}(m)
-	}
-	wg.Wait()
-	for m := range w.pool {
-		if err := w.pool[m].err; err != nil {
-			return err
-		}
-	}
-
-	// Phase C: serial write-back in batch order.
-	for _, i := range todo {
-		q := &batch[i]
-		slot := &w.slots[i]
-		worst := w.applyLoadsFor(slot.res.Schedule, w.local, now)
-		w.addServiceTime(slot.res.Schedule)
-		w.countDegraded(slot.dropped)
-		if s.opt.OnSchedule != nil {
-			w.prob.Replicas = q.Replicas
-			s.opt.OnSchedule(w.id, q, &w.prob, slot.res.Schedule)
-		}
-		w.record(Result{
-			Seq:          q.Seq,
-			Worker:       w.id,
-			ResponseTime: worst,
-			Finish:       cost.SatAdd(now, worst),
-			Latency:      sinceSubmit(q),
-			Dropped:      slot.dropped,
-		})
-	}
-	w.writeBack(now)
-	return nil
-}
-
 // addServiceTime charges a served schedule's blocks to the batch's
 // per-disk service-time accumulator, at the service times the schedule
-// was solved against — the same charge applyLoadsFor just added to the
+// was solved against — the same charge applyLoads just added to the
 // batch-local horizons. The charge must be taken per query: a mid-batch
 // fault refresh can move a disk's slowdown factor, and the shared
 // horizons must still agree with the responses the batch reported.
@@ -520,20 +376,15 @@ func (w *worker) rejectLateAt(q *Query, clock cost.Micros) bool {
 	return true
 }
 
-// countSolveFor folds one completed solver call into the reuse counters.
+// countSolve folds one completed solver call into the reuse counters.
 //
 //imflow:noalloc
-func (w *worker) countSolveFor(res *retrieval.Result) {
+func (w *worker) countSolve() {
 	w.srv.nSolves.Add(1)
-	if res.Stats.Warm {
+	if w.res.Stats.Warm {
 		w.srv.nWarm.Add(1)
 	}
 }
-
-// countSolve is countSolveFor on the worker's own pinned result.
-//
-//imflow:noalloc
-func (w *worker) countSolve() { w.countSolveFor(&w.res) }
 
 // countDegraded folds one served query into the graceful-degradation
 // counters.
@@ -713,16 +564,8 @@ func (w *worker) refreshDisk(j int, busy []cost.Micros, now cost.Micros) {
 //
 //imflow:noalloc
 func (w *worker) applyLoads(busy []cost.Micros, now cost.Micros) cost.Micros {
-	return w.applyLoadsFor(w.res.Schedule, busy, now)
-}
-
-// applyLoadsFor is applyLoads for an explicit schedule — the batch pool's
-// phase C replays each slot's schedule through it in batch order.
-//
-//imflow:noalloc
-func (w *worker) applyLoadsFor(sch *retrieval.Schedule, busy []cost.Micros, now cost.Micros) cost.Micros {
 	var worst cost.Micros
-	for j, k := range sch.Counts {
+	for j, k := range w.res.Schedule.Counts {
 		if k == 0 {
 			continue
 		}
