@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt perfbench test race lint lint-baseline lint-accept vet fuzz audit fault-stress bench bench-smoke bench-serve bench-serve-smoke bench-fault bench-fault-smoke bench-http bench-http-smoke bench-diff profile check
+.PHONY: build fmt perfbench test race lint lint-baseline lint-accept vet fuzz audit fault-stress bench bench-smoke bench-diff profile check
 
 build:
 	$(GO) build ./...
@@ -76,41 +76,14 @@ fault-stress:
 
 ## bench: regenerate BENCH_retrieval.json — the steady-state integrated
 ## solve loop (ns/op, allocs/op, work counters) across every engine on the
-## paper-scale grid. See EXPERIMENTS.md for the field reference.
+## paper-scale grid, plus conserved failover repair against a fresh masked
+## solve. See EXPERIMENTS.md for the field reference.
 bench:
 	$(GO) run ./cmd/imflow-bench -out BENCH_retrieval.json
 
 ## bench-smoke: the small configuration CI runs on every push.
 bench-smoke:
 	$(GO) run ./cmd/imflow-bench -smoke -out BENCH_retrieval.json
-
-## bench-serve: regenerate BENCH_serve.json — open-loop throughput of the
-## concurrent serving layer (qps, latency percentiles, worker-scaling
-## curve) against the timed sequential sim replay baseline.
-bench-serve:
-	$(GO) run ./cmd/imflow-serve-bench -out BENCH_serve.json
-
-bench-serve-smoke:
-	$(GO) run ./cmd/imflow-serve-bench -smoke -out BENCH_serve.json
-
-## bench-fault: regenerate BENCH_fault.json — conserved-flow failover
-## repair latency vs a fresh masked re-solve at 1..2 failed disks, and
-## degraded serving throughput (qps, p99) at 0..2 failed disks.
-bench-fault:
-	$(GO) run ./cmd/imflow-serve-bench -fault -out BENCH_fault.json
-
-bench-fault-smoke:
-	$(GO) run ./cmd/imflow-serve-bench -fault -smoke -out BENCH_fault.json
-
-## bench-http: regenerate BENCH_http.json — overload resilience of the
-## HTTP front end: per shed policy, closed-loop calibration then steady /
-## sustained-overload / flash-crowd phases against a live loopback server
-## (offered vs served qps, shed rate, latency percentiles, evictions).
-bench-http:
-	$(GO) run ./cmd/imflow-serve-bench -http -out BENCH_http.json
-
-bench-http-smoke:
-	$(GO) run ./cmd/imflow-serve-bench -http -smoke -out BENCH_http.json
 
 ## profile: CPU + allocation profiles of the steady-state retrieval suite
 ## on one paper-scale cell, written under /tmp/imflow-prof for
@@ -123,20 +96,14 @@ profile:
 		-out /tmp/imflow-prof/BENCH_retrieval.json
 	@echo "profiles in /tmp/imflow-prof: go tool pprof /tmp/imflow-prof/cpu.pprof"
 
-## bench-diff: run fresh benchmarks into a scratch directory and compare
-## them against the committed BENCH files. Fails on a >25% ns/op (or qps)
-## regression or any allocs/op regression for the sequential engines.
-## Wall-clock gates assume the same machine as the committed baselines;
-## CI uses the machine-independent -allocs-only mode instead.
+## bench-diff: run a fresh solver benchmark into a scratch directory and
+## compare it against the committed BENCH_retrieval.json. Fails on a >25%
+## ns/op regression or any allocs/op regression for the sequential
+## engines. Wall-clock gates assume the same machine as the committed
+## baseline; CI uses the machine-independent -allocs-only mode instead.
 bench-diff:
 	$(GO) run ./cmd/imflow-bench -out /tmp/imflow-bench-new/BENCH_retrieval.json
-	$(GO) run ./cmd/imflow-serve-bench -out /tmp/imflow-bench-new/BENCH_serve.json
-	$(GO) run ./cmd/imflow-serve-bench -fault -out /tmp/imflow-bench-new/BENCH_fault.json
-	$(GO) run ./cmd/imflow-serve-bench -http -out /tmp/imflow-bench-new/BENCH_http.json
 	$(GO) run ./cmd/imflow-bench-diff \
-		-old BENCH_retrieval.json -new /tmp/imflow-bench-new/BENCH_retrieval.json \
-		-old-serve BENCH_serve.json -new-serve /tmp/imflow-bench-new/BENCH_serve.json \
-		-old-fault BENCH_fault.json -new-fault /tmp/imflow-bench-new/BENCH_fault.json \
-		-old-http BENCH_http.json -new-http /tmp/imflow-bench-new/BENCH_http.json
+		-old BENCH_retrieval.json -new /tmp/imflow-bench-new/BENCH_retrieval.json
 
 check: build fmt vet lint-baseline test audit race perfbench

@@ -1,18 +1,14 @@
-// Command imflow-bench-diff gates benchmark regressions: it compares
-// freshly generated BENCH_retrieval.json / BENCH_serve.json documents
-// against the committed baselines and exits non-zero when a sequential
-// engine got >25% slower, any sequential engine's steady-state allocs/op
-// regressed, a serving configuration lost throughput, or the server's
-// deterministic mode stopped matching sequential replay. Entries present
-// in only one of the two documents (new modes or cells, narrower smoke
-// sweeps) are printed as INFO lines and never fail the gate.
+// Command imflow-bench-diff gates solver benchmark regressions: it
+// compares a freshly generated BENCH_retrieval.json against the committed
+// baseline and exits non-zero when a sequential engine got >25% slower or
+// any sequential engine's steady-state allocs/op regressed. Entries
+// present in only one of the two documents (new cells, narrower smoke
+// sweeps) are printed as INFO lines and never fail the gate. The failover
+// records are not gated.
 //
 // Usage:
 //
 //	imflow-bench-diff -old BENCH_retrieval.json -new fresh.json
-//	imflow-bench-diff -old-serve BENCH_serve.json -new-serve fresh-serve.json
-//	imflow-bench-diff -old-fault BENCH_fault.json -new-fault fresh-fault.json
-//	imflow-bench-diff -old-http BENCH_http.json -new-http fresh-http.json
 //	imflow-bench-diff -allocs-only ...   # CI smoke: machine-independent gates only
 package main
 
@@ -28,70 +24,21 @@ import (
 func main() {
 	oldRet := flag.String("old", "", "committed BENCH_retrieval.json baseline")
 	newRet := flag.String("new", "", "freshly generated BENCH_retrieval.json")
-	oldServe := flag.String("old-serve", "", "committed BENCH_serve.json baseline")
-	newServe := flag.String("new-serve", "", "freshly generated BENCH_serve.json")
-	oldFault := flag.String("old-fault", "", "committed BENCH_fault.json baseline")
-	newFault := flag.String("new-fault", "", "freshly generated BENCH_fault.json")
-	oldHTTP := flag.String("old-http", "", "committed BENCH_http.json baseline")
-	newHTTP := flag.String("new-http", "", "freshly generated BENCH_http.json")
 	maxRatio := flag.Float64("max-ratio", 1.25, "tolerated timing regression ratio")
 	allocsOnly := flag.Bool("allocs-only", false,
 		"skip wall-clock gates (for CI, where the baseline's hardware differs)")
 	flag.Parse()
-
-	opt := bench.DiffOptions{MaxRatio: *maxRatio, TimingChecks: !*allocsOnly}
-	var violations, infos []string
-	checked := 0
-
-	if *newRet != "" {
-		if *oldRet == "" {
-			fatalf("-new requires -old")
-		}
-		var oldR, newR bench.RetrievalReport
-		readJSON(*oldRet, &oldR)
-		readJSON(*newRet, &newR)
-		v, i := bench.DiffRetrieval(&oldR, &newR, opt)
-		violations, infos = append(violations, v...), append(infos, i...)
-		checked++
-	}
-	if *newServe != "" {
-		if *oldServe == "" {
-			fatalf("-new-serve requires -old-serve")
-		}
-		var oldS, newS bench.ServeReport
-		readJSON(*oldServe, &oldS)
-		readJSON(*newServe, &newS)
-		v, i := bench.DiffServe(&oldS, &newS, opt)
-		violations, infos = append(violations, v...), append(infos, i...)
-		checked++
-	}
-	if *newFault != "" {
-		if *oldFault == "" {
-			fatalf("-new-fault requires -old-fault")
-		}
-		var oldF, newF bench.FaultReport
-		readJSON(*oldFault, &oldF)
-		readJSON(*newFault, &newF)
-		v, i := bench.DiffFault(&oldF, &newF, opt)
-		violations, infos = append(violations, v...), append(infos, i...)
-		checked++
-	}
-	if *newHTTP != "" {
-		if *oldHTTP == "" {
-			fatalf("-new-http requires -old-http")
-		}
-		var oldH, newH bench.HTTPReport
-		readJSON(*oldHTTP, &oldH)
-		readJSON(*newHTTP, &newH)
-		v, i := bench.DiffHTTP(&oldH, &newH, opt)
-		violations, infos = append(violations, v...), append(infos, i...)
-		checked++
-	}
-	if checked == 0 {
-		fatalf("nothing to diff: pass -old/-new, -old-serve/-new-serve, -old-fault/-new-fault, and/or -old-http/-new-http")
+	if *oldRet == "" || *newRet == "" {
+		fatalf("pass both -old and -new")
 	}
 
-	// Entries present in only one document (new modes, narrower smoke
+	var oldR, newR bench.RetrievalReport
+	readJSON(*oldRet, &oldR)
+	readJSON(*newRet, &newR)
+	violations, infos := bench.DiffRetrieval(&oldR, &newR,
+		bench.DiffOptions{MaxRatio: *maxRatio, TimingChecks: !*allocsOnly})
+
+	// Entries present in only one document (new cells, narrower smoke
 	// sweeps, renamed cells) are reported but never fail the gate.
 	for _, i := range infos {
 		fmt.Fprintf(os.Stderr, "INFO: %s\n", i)
@@ -102,7 +49,7 @@ func main() {
 	if len(violations) > 0 {
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "imflow-bench-diff: %d report(s) clean\n", checked)
+	fmt.Fprintln(os.Stderr, "imflow-bench-diff: retrieval report clean")
 }
 
 func readJSON(path string, into any) {

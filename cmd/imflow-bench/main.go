@@ -1,7 +1,8 @@
 // Command imflow-bench runs the reproducible steady-state retrieval
 // benchmark: paper-scale experiment cells solved by every max-flow engine
 // through the integrated algorithms, with per-op wall time, allocation
-// counts, and elementary work counters, written as BENCH_retrieval.json.
+// counts, and elementary work counters, plus conserved failover repair
+// timed against a fresh masked solve, written as BENCH_retrieval.json.
 //
 // Usage:
 //
@@ -127,6 +128,10 @@ func main() {
 	for _, r := range report.Records {
 		fmt.Fprintf(os.Stderr, "%-28s %-22s %10.0f ns/op %8.1f allocs/op %6.1f runs/op %8.1f incr/op %10.0f warm ns/op %5.2fx warm\n",
 			r.Cell, r.Solver, r.NsPerOp, r.AllocsPerOp, r.MaxflowRuns, r.Increments, r.WarmNsPerOp, r.WarmSpeedup)
+	}
+	for _, r := range report.Failover {
+		fmt.Fprintf(os.Stderr, "%-28s failover %d failed     %10.0f ns/op repair %10.0f ns/op fresh %5.2fx repair/fresh\n",
+			r.Cell, r.FailedDisks, r.RepairNsPerOp, r.FreshNsPerOp, r.RepairFreshRatio)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -32,29 +33,42 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	n := flag.Int("n", 20, "grid size (N x N buckets per site)")
-	expNum := flag.Int("exp", 2, "Table IV experiment number")
-	workers := flag.Int("workers", 4, "serving-layer shards")
-	queueDepth := flag.Int("queue", 0, "per-shard admission queue bound (default 64)")
-	batch := flag.Int("batch", 0, "max queries coalesced per worker wakeup (default 16)")
-	policyName := flag.String("policy", "reject-new", "shed policy: reject-new or drop-latest-deadline")
-	maxInflight := flag.Int("max-inflight", 0, "admission window (default 256)")
-	shedQueue := flag.Int("shed-queue", 0, "summed queue depth that triggers shedding (0 disables)")
-	shedP99 := flag.Duration("shed-p99", 0, "served p99 that triggers shedding (0 disables)")
-	rate := flag.Float64("rate", 0, "per-client token-bucket rate in queries/sec (batch items each cost a token; 0 disables)")
-	burst := flag.Float64("burst", 0, "per-client token-bucket burst (default 1)")
-	defaultDeadline := flag.Duration("default-deadline", 0, "deadline for requests that carry none (0 means none)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
-	seed := flag.Uint64("seed", 0, "cell build seed (default 42)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "imflow-serve: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, serves until SIGINT or SIGTERM, then drains. It
+// returns nil only after a clean drain.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("imflow-serve", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	n := fs.Int("n", 20, "grid size (N x N buckets per site)")
+	expNum := fs.Int("exp", 2, "Table IV experiment number")
+	workers := fs.Int("workers", 4, "serving-layer shards")
+	queueDepth := fs.Int("queue", 0, "per-shard admission queue bound (default 64)")
+	batch := fs.Int("batch", 0, "max queries coalesced per worker wakeup (default 16)")
+	policyName := fs.String("policy", "reject-new", "shed policy: reject-new or drop-latest-deadline")
+	maxInflight := fs.Int("max-inflight", 0, "admission window (default 256)")
+	shedQueue := fs.Int("shed-queue", 0, "summed queue depth that triggers shedding (0 disables)")
+	shedP99 := fs.Duration("shed-p99", 0, "served p99 that triggers shedding (0 disables)")
+	rate := fs.Float64("rate", 0, "per-client token-bucket rate in queries/sec (batch items each cost a token; 0 disables)")
+	burst := fs.Float64("burst", 0, "per-client token-bucket burst (default 1)")
+	defaultDeadline := fs.Duration("default-deadline", 0, "deadline for requests that carry none (0 means none)")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
+	seed := fs.Uint64("seed", 0, "cell build seed (default 42)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *seed == 0 {
 		*seed = 42
 	}
 	policy, err := httpd.ParsePolicy(*policyName)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	cfg := experiment.Config{
 		ExpNum:  *expNum,
@@ -67,7 +81,7 @@ func main() {
 	}
 	inst, err := cfg.Build()
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	s, err := httpd.New(inst.System, inst.Alloc, httpd.Options{
 		Serve:           serve.Options{Workers: *workers, QueueDepth: *queueDepth, Batch: *batch},
@@ -81,15 +95,15 @@ func main() {
 		Seed:            *seed,
 	})
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	hs := &http.Server{Handler: s}
-	fmt.Fprintf(os.Stderr, "imflow-serve: cell %s (%d buckets, %d disks), %d shards, policy %s, listening on %s\n",
+	fmt.Fprintf(stderr, "imflow-serve: cell %s (%d buckets, %d disks), %d shards, policy %s, listening on %s\n",
 		cfg, inst.Alloc.Grid.Buckets(), inst.System.NumDisks(), *workers, policy, ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -100,27 +114,23 @@ func main() {
 
 	select {
 	case err := <-serveErr:
-		fatalf("%v", err)
+		return err
 	case <-ctx.Done():
 	}
 	stop() // a second signal kills the process the default way
 
-	fmt.Fprintf(os.Stderr, "imflow-serve: draining (budget %v)\n", *drainTimeout)
+	fmt.Fprintf(stderr, "imflow-serve: draining (budget %v)\n", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
-		fmt.Fprintf(os.Stderr, "imflow-serve: listener shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "imflow-serve: listener shutdown: %v\n", err)
 	}
 	if err := s.Shutdown(dctx); err != nil {
-		fatalf("drain: %v", err)
+		return fmt.Errorf("drain: %w", err)
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Fprintln(os.Stderr, "imflow-serve: drained cleanly")
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "imflow-serve: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintln(stderr, "imflow-serve: drained cleanly")
+	return nil
 }

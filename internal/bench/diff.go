@@ -9,8 +9,7 @@ import (
 // DiffOptions tune the benchmark regression gates of cmd/imflow-bench-diff.
 type DiffOptions struct {
 	// MaxRatio is the tolerated slowdown for timing fields: a fresh
-	// ns/op above committed*MaxRatio (or a fresh QPS below
-	// committed/MaxRatio) is a violation. Default 1.25.
+	// ns/op above committed*MaxRatio is a violation. Default 1.25.
 	MaxRatio float64
 	// AllocEpsilon absorbs the runtime's background-allocation jitter in
 	// the steady-state allocs/op gates. Default 0.5.
@@ -121,51 +120,4 @@ func DiffRetrieval(old, fresh *RetrievalReport, o DiffOptions) (violations, info
 		}
 	}
 	return violations, append(infos, unmatchedBaselines("retrieval", matched)...)
-}
-
-// DiffServe compares a fresh BENCH_serve.json against the committed
-// baseline. Records are matched on (cell, mode, workers); the
-// deterministic replay cross-check is re-asserted on every fresh replay
-// record regardless of a baseline match, while unmatched entries on either
-// side are informational only.
-func DiffServe(old, fresh *ServeReport, o DiffOptions) (violations, infos []string) {
-	o = o.withDefaults()
-	infos = append(infos, cpuMismatch("serve", old.NumCPU, fresh.NumCPU)...)
-	// Serving passes amortize server and solver construction over the
-	// stream, so their allocation budget is per-pass noise, not the
-	// strict per-op epsilon.
-	const serveAllocSlack = 2.0
-	baseline := make(map[string]ServeRecord, len(old.Records))
-	matched := make(map[string]bool, len(old.Records))
-	key := func(r ServeRecord) string {
-		return fmt.Sprintf("%s|%s|%d", r.Cell, r.Mode, r.Workers)
-	}
-	for _, r := range old.Records {
-		baseline[key(r)] = r
-		matched[key(r)] = false
-	}
-	for _, r := range fresh.Records {
-		if r.Mode == "replay" && !r.DeterministicMatch {
-			violations = append(violations, fmt.Sprintf("%s: deterministic single-shard serve no longer matches sequential replay", r.Cell))
-		}
-		base, ok := baseline[key(r)]
-		if !ok {
-			infos = append(infos, fmt.Sprintf("serve: fresh entry %q has no committed baseline", key(r)))
-			continue
-		}
-		matched[key(r)] = true
-		if r.AllocsPerOp > base.AllocsPerOp+serveAllocSlack {
-			violations = append(violations, fmt.Sprintf("%s %s workers=%d: allocs/op %.2f, committed %.2f",
-				r.Cell, r.Mode, r.Workers, r.AllocsPerOp, base.AllocsPerOp))
-		}
-		if o.TimingChecks {
-			if base.QPS <= 0 {
-				infos = append(infos, fmt.Sprintf("serve: committed entry %q has no throughput (%.0f queries/sec); timing gate skipped", key(r), base.QPS))
-			} else if r.QPS < base.QPS/o.MaxRatio {
-				violations = append(violations, fmt.Sprintf("%s %s workers=%d: %.0f queries/sec, committed %.0f (> %.2fx slower)",
-					r.Cell, r.Mode, r.Workers, r.QPS, base.QPS, o.MaxRatio))
-			}
-		}
-	}
-	return violations, append(infos, unmatchedBaselines("serve", matched)...)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -97,6 +98,26 @@ type RetrievalRecord struct {
 	WarmSpeedup     float64 `json:"warm_speedup,omitempty"`
 }
 
+// failoverDepth is how many disks the failover sweep fails, one after
+// another, on every problem of a cell.
+const failoverDepth = 2
+
+// FailoverRecord times conserved failover against a fresh solve. With
+// FailedDisks-1 disks already failed and repaired, the busiest live disk
+// fails next: the conserved solver repairs its flow in place (MarkFailed)
+// and a second solver solves the same mask from scratch (SolveMaskedInto).
+// RepairFreshRatio is RepairNsPerOp over FreshNsPerOp, so a ratio below 1
+// means conserving the flow pays.
+type FailoverRecord struct {
+	Cell             string  `json:"cell"`
+	N                int     `json:"n"`
+	FailedDisks      int     `json:"failed_disks"`
+	Queries          int     `json:"queries"`
+	RepairNsPerOp    float64 `json:"repair_ns_per_op"`
+	FreshNsPerOp     float64 `json:"fresh_ns_per_op"`
+	RepairFreshRatio float64 `json:"repair_fresh_ratio"`
+}
+
 // RetrievalReport is the BENCH_retrieval.json document.
 type RetrievalReport struct {
 	Schema     string            `json:"schema"`
@@ -108,6 +129,7 @@ type RetrievalReport struct {
 	Audit      bool              `json:"audit_build"`
 	Options    RetrievalOptions  `json:"options"`
 	Records    []RetrievalRecord `json:"records"`
+	Failover   []FailoverRecord  `json:"failover"`
 }
 
 // benchSolver pairs a solver constructor with whether it is a quadratic
@@ -151,6 +173,7 @@ func retrievalSolvers(threads int) []benchSolver {
 // report. Every solver is warmed on the full batch (two passes, letting all
 // reused buffers converge to the cell's peak problem shape) and then timed
 // over Repeats further passes with allocation counters around the loop.
+// Each cell then gets failoverDepth failover records from pr-binary.
 func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 	o = o.withDefaults()
 	report := &RetrievalReport{
@@ -211,8 +234,113 @@ func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 			}
 			report.Records = append(report.Records, rec)
 		}
+		failover, err := measureFailover(inst.System.NumDisks(), inst.Problems)
+		if err != nil {
+			return nil, fmt.Errorf("bench: cell %s: failover: %w", cfg, err)
+		}
+		for _, rec := range failover {
+			rec.Cell, rec.N = cfg.String(), n
+			report.Failover = append(report.Failover, rec)
+		}
 	}
 	return report, nil
+}
+
+// busiestLive returns the live disk carrying the most blocks of the
+// schedule, -1 when nothing is scheduled on a live disk.
+func busiestLive(counts []int64, mask *retrieval.DiskMask) int {
+	best, bestCount := -1, int64(0)
+	for j, c := range counts {
+		if c > bestCount && !mask.Failed(j) {
+			best, bestCount = j, c
+		}
+	}
+	return best
+}
+
+// stranded reports whether err is the partial-serve infeasibility of a
+// degraded solve, and passes any other error through.
+func stranded(err error) (bool, error) {
+	var inf *retrieval.InfeasibleError
+	if err == nil || errors.As(err, &inf) {
+		return err != nil, nil
+	}
+	return false, err
+}
+
+// measureFailover fails, per problem, the busiest live disk failoverDepth
+// times in a row. Each failure is timed twice: as one in-place repair of
+// the conserved solver, and as one fresh masked solve at the same mask.
+// Even problems run the repair first and odd ones the fresh solve, so
+// neither side always inherits the other's cache state. The two must agree
+// on response time and on whether buckets were stranded. One untimed pass
+// sizes every reused buffer before the timed pass.
+func measureFailover(numDisks int, problems []*retrieval.Problem) ([]FailoverRecord, error) {
+	conserved, fresh := retrieval.NewPRBinary(), retrieval.NewPRBinary()
+	mask := retrieval.NewDiskMask(numDisks)
+	var res, freshRes retrieval.Result
+	var took [failoverDepth][2]time.Duration // [failure][repair, fresh]
+	var ops [failoverDepth]int
+	pass := func() error {
+		for i, p := range problems {
+			mask.Reset(numDisks)
+			if err := conserved.SolveInto(p, &res); err != nil {
+				return err
+			}
+			for f := 0; f < failoverDepth; f++ {
+				d := busiestLive(res.Schedule.Counts, mask)
+				if d < 0 {
+					break // every scheduled block is already stranded
+				}
+				mask.MarkFailed(d)
+				sides := [2]func() error{
+					func() error { return conserved.MarkFailed(d, &res) },
+					func() error { return fresh.SolveMaskedInto(p, mask, &freshRes) },
+				}
+				var errs [2]error
+				for k := 0; k < 2; k++ {
+					side := (i + k) % 2
+					start := time.Now()
+					errs[side] = sides[side]()
+					took[f][side] += time.Since(start)
+				}
+				repairStranded, err := stranded(errs[0])
+				if err != nil {
+					return err
+				}
+				freshStranded, err := stranded(errs[1])
+				if err != nil {
+					return err
+				}
+				if repairStranded != freshStranded || res.Schedule.ResponseTime != freshRes.Schedule.ResponseTime {
+					return fmt.Errorf("problem %d, failure %d (disk %d): repair response %d (stranded %t), fresh solve %d (stranded %t)",
+						i, f+1, d, res.Schedule.ResponseTime, repairStranded, freshRes.Schedule.ResponseTime, freshStranded)
+				}
+				ops[f]++
+			}
+		}
+		return nil
+	}
+	if err := pass(); err != nil {
+		return nil, err
+	}
+	took, ops = [failoverDepth][2]time.Duration{}, [failoverDepth]int{}
+	if err := pass(); err != nil {
+		return nil, err
+	}
+	records := make([]FailoverRecord, failoverDepth)
+	for f := range records {
+		rec := FailoverRecord{FailedDisks: f + 1, Queries: ops[f]}
+		if ops[f] > 0 {
+			rec.RepairNsPerOp = float64(took[f][0].Nanoseconds()) / float64(ops[f])
+			rec.FreshNsPerOp = float64(took[f][1].Nanoseconds()) / float64(ops[f])
+		}
+		if rec.FreshNsPerOp > 0 {
+			rec.RepairFreshRatio = rec.RepairNsPerOp / rec.FreshNsPerOp
+		}
+		records[f] = rec
+	}
+	return records, nil
 }
 
 // measureReusable times the steady-state SolveInto loop of one solver over

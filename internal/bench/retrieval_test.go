@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"imflow/internal/maxflow"
@@ -8,8 +9,13 @@ import (
 
 // TestRunRetrievalSmoke runs the suite on a tiny cell and gates the
 // tentpole invariant: the steady-state integrated solve loop performs zero
-// heap allocations for every sequential engine.
+// heap allocations for every sequential engine. It also checks that the
+// failover sweep measured every failure.
 func TestRunRetrievalSmoke(t *testing.T) {
+	// Pin one P for the run, as testing.AllocsPerRun does. With two, the
+	// runtime's own work on the other P can allocate inside a measured
+	// window and count against the solver.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	report, err := RunRetrieval(RetrievalOptions{Ns: []int{6}, Queries: 3, Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +39,19 @@ func TestRunRetrievalSmoke(t *testing.T) {
 		// timing here certifies the warm path ran.
 		if r.WarmNsPerOp <= 0 || r.WarmSpeedup <= 0 {
 			t.Errorf("%s: warm path not measured: %v ns/op, %vx", r.Solver, r.WarmNsPerOp, r.WarmSpeedup)
+		}
+	}
+	// measureFailover errors out unless every repair matched its fresh
+	// masked solve, so positive timings certify the failover ran.
+	if len(report.Failover) != failoverDepth {
+		t.Fatalf("got %d failover records, want %d", len(report.Failover), failoverDepth)
+	}
+	for i, r := range report.Failover {
+		if r.FailedDisks != i+1 || r.Queries != 3 {
+			t.Errorf("failover record %d: %d failed disks over %d queries", i, r.FailedDisks, r.Queries)
+		}
+		if r.RepairNsPerOp <= 0 || r.FreshNsPerOp <= 0 || r.RepairFreshRatio <= 0 {
+			t.Errorf("failover record %d not measured: %+v", i, r)
 		}
 	}
 	if maxflow.AuditEnabled {

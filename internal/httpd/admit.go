@@ -94,14 +94,16 @@ func (a *admitter) depth() int {
 // which case the newcomer fails. Under an overload trigger with spare
 // capacity the drop policy still evicts, so admission degrades to
 // one-in-one-out instead of piling more work onto a struggling backend.
-func (a *admitter) acquire(deadline time.Time, cancel context.CancelCauseFunc, overloaded bool) (id int64, evicted bool, ok bool) {
+// The victim's handler counts the eviction when it answers (see
+// Server.interrupted), since its result may still win the race.
+func (a *admitter) acquire(deadline time.Time, cancel context.CancelCauseFunc, overloaded bool) (id int64, ok bool) {
 	id, victim, ok := a.admit(deadline, cancel, overloaded)
 	if victim != nil {
 		// Cancel outside the lock: the cause fans out to the victim's
 		// handler and possibly a serve-side pickup rejection.
 		victim.cancel(errEvicted)
 	}
-	return id, victim != nil, ok
+	return id, ok
 }
 
 // admit is acquire's table mutation under the lock; the returned victim

@@ -14,13 +14,13 @@ func cancelRecorder(cause *error) context.CancelCauseFunc {
 func TestAdmitterRejectNew(t *testing.T) {
 	a := newAdmitter(2, RejectNew)
 	var c1, c2, c3 error
-	if _, _, ok := a.acquire(time.Time{}, cancelRecorder(&c1), false); !ok {
+	if _, ok := a.acquire(time.Time{}, cancelRecorder(&c1), false); !ok {
 		t.Fatal("first acquire failed")
 	}
-	if _, _, ok := a.acquire(time.Time{}, cancelRecorder(&c2), false); !ok {
+	if _, ok := a.acquire(time.Time{}, cancelRecorder(&c2), false); !ok {
 		t.Fatal("second acquire failed")
 	}
-	if _, _, ok := a.acquire(time.Time{}, cancelRecorder(&c3), false); ok {
+	if _, ok := a.acquire(time.Time{}, cancelRecorder(&c3), false); ok {
 		t.Fatal("over-capacity acquire admitted under reject-new")
 	}
 	if c1 != nil || c2 != nil {
@@ -33,13 +33,12 @@ func TestAdmitterDropLatestDeadline(t *testing.T) {
 	now := time.Unix(5000, 0)
 	var cNone, cFar, cNear, cUrgent error
 	// One entry without a deadline (most patient) and one far deadline.
-	idNone, _, _ := a.acquire(time.Time{}, cancelRecorder(&cNone), false)
+	idNone, _ := a.acquire(time.Time{}, cancelRecorder(&cNone), false)
 	a.acquire(now.Add(time.Minute), cancelRecorder(&cFar), false)
 
 	// An urgent newcomer evicts the no-deadline entry.
-	_, evicted, ok := a.acquire(now.Add(time.Second), cancelRecorder(&cNear), false)
-	if !ok || !evicted {
-		t.Fatalf("urgent newcomer: ok=%v evicted=%v, want admit-with-eviction", ok, evicted)
+	if _, ok := a.acquire(now.Add(time.Second), cancelRecorder(&cNear), false); !ok {
+		t.Fatal("urgent newcomer rejected, want admit-with-eviction")
 	}
 	if cNone != errEvicted {
 		t.Fatalf("victim cause %v, want errEvicted", cNone)
@@ -50,7 +49,7 @@ func TestAdmitterDropLatestDeadline(t *testing.T) {
 	a.release(idNone) // victim's handler releases; idempotent after eviction
 
 	// A newcomer more patient than everyone admitted is itself rejected.
-	if _, _, ok := a.acquire(time.Time{}, cancelRecorder(&cUrgent), false); ok {
+	if _, ok := a.acquire(time.Time{}, cancelRecorder(&cUrgent), false); ok {
 		t.Fatal("most-patient newcomer admitted over a full window")
 	}
 	if a.depth() != 2 {
@@ -65,14 +64,13 @@ func TestAdmitterOverloadTriggerSheds(t *testing.T) {
 	now := time.Unix(6000, 0)
 	var cOld, cNew error
 	a.acquire(now.Add(time.Hour), cancelRecorder(&cOld), false)
-	_, evicted, ok := a.acquire(now.Add(time.Second), cancelRecorder(&cNew), true)
-	if !ok || !evicted || cOld != errEvicted {
-		t.Fatalf("overloaded drop policy: ok=%v evicted=%v cause=%v", ok, evicted, cOld)
+	if _, ok := a.acquire(now.Add(time.Second), cancelRecorder(&cNew), true); !ok || cOld != errEvicted {
+		t.Fatalf("overloaded drop policy: ok=%v cause=%v", ok, cOld)
 	}
 
 	r := newAdmitter(16, RejectNew)
 	r.acquire(time.Time{}, cancelRecorder(&cOld), false)
-	if _, _, ok := r.acquire(time.Time{}, cancelRecorder(&cNew), true); ok {
+	if _, ok := r.acquire(time.Time{}, cancelRecorder(&cNew), true); ok {
 		t.Fatal("overloaded reject-new admitted a request below capacity")
 	}
 }

@@ -7,13 +7,11 @@ import (
 	"net/http"
 	"time"
 
-	"imflow/internal/fault"
 	"imflow/internal/serve"
 )
 
 // outcome is one query's terminal answer, in transport-neutral form;
-// the handlers translate it to a status line and JSON body, the bench
-// harness reads it directly.
+// the handlers translate it to a status line and JSON body.
 type outcome struct {
 	status     int           // HTTP status; 0 means the client is gone and no answer is writable
 	msg        string        // error detail for non-200s
@@ -100,14 +98,11 @@ func (s *Server) dispatchShard(rctx context.Context, qr QueryRequest, pinned int
 	qctx, qcancel := context.WithCancelCause(rctx)
 	defer qcancel(nil)
 
-	id, evicted, ok := s.adm.acquire(deadline, qcancel, s.overloadTriggered())
+	id, ok := s.adm.acquire(deadline, qcancel, s.overloadTriggered())
 	if !ok {
 		s.met.shedRejected.Add(1)
 		return outcome{status: http.StatusServiceUnavailable, msg: "overloaded: " + s.opt.Policy.String(),
 			retryAfter: s.opt.AdmitTimeout, transient: true}
-	}
-	if evicted {
-		s.met.shedEvicted.Add(1)
 	}
 
 	seq, ok := s.acquireSeq(qctx)
@@ -210,7 +205,7 @@ func (s *Server) attempt(qctx context.Context, seq int, replicas [][]int, deadli
 				if retries >= s.opt.MaxRetries {
 					s.met.faultExhausted.Add(1)
 					return outcome{status: http.StatusServiceUnavailable,
-						msg:        fault.Transient(errors.New("fault-epoch retries exhausted")).Error(),
+						msg:        "transient fault: fault-epoch retries exhausted",
 						retryAfter: s.opt.BreakerCooldown, transient: true, retries: retries}
 				}
 				retries++
@@ -268,10 +263,10 @@ func (s *Server) reap(seq int) {
 }
 
 // interrupted classifies a wait cut short by qctx or the stop switch.
-// An eviction was already counted by the evicting request's dispatch.
 func (s *Server) interrupted(qctx context.Context) outcome {
 	switch {
 	case context.Cause(qctx) == errEvicted:
+		s.met.shedEvicted.Add(1)
 		return outcome{status: http.StatusServiceUnavailable, msg: "evicted by drop-latest-deadline",
 			retryAfter: s.opt.AdmitTimeout, transient: true}
 	case qctx.Err() != nil:

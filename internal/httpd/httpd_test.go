@@ -180,8 +180,8 @@ func TestShedRejectNewWhenWindowFull(t *testing.T) {
 	s, hs := newFrontend(t, Options{MaxInflight: 2})
 
 	// Occupy the whole admission window out-of-band, then knock.
-	id1, _, ok1 := s.adm.acquire(time.Time{}, func(error) {}, false)
-	id2, _, ok2 := s.adm.acquire(time.Time{}, func(error) {}, false)
+	id1, ok1 := s.adm.acquire(time.Time{}, func(error) {}, false)
+	id2, ok2 := s.adm.acquire(time.Time{}, func(error) {}, false)
 	if !ok1 || !ok2 {
 		t.Fatal("setup: could not fill the window")
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -406,63 +407,68 @@ func TestWorkerDeathMidBatchDrains(t *testing.T) {
 // TestAllReplicasDownPartialServe fails all but one disk of site 0 and
 // checks partial retrieval end to end through the server: buckets whose
 // replicas all live on failed disks are dropped (counted per query and
-// globally), the rest are served, and the degraded counter advances.
+// globally), the rest are served, and the degraded counter counts every
+// query, with one worker and with several.
 func TestAllReplicasDownPartialServe(t *testing.T) {
-	sys, stream := testStream(t, 16, 19)
-	qs := toServeQueries(stream)
-	s, err := New(sys, len(qs), Options{Workers: 1, Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// deadOf counts the buckets the mask strands, from the replica lists.
-	deadOf := func(q Query) int {
-		n := 0
-		for _, reps := range q.Replicas {
-			alive := false
-			for _, d := range reps {
-				if d == 0 || d >= sys.DisksPerSite {
-					alive = true
-					break
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sys, stream := testStream(t, 16, 19)
+			qs := toServeQueries(stream)
+			s, err := New(sys, len(qs), Options{Workers: workers, Batch: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// deadOf counts the buckets the mask strands, from the replica lists.
+			deadOf := func(q Query) int {
+				n := 0
+				for _, reps := range q.Replicas {
+					alive := false
+					for _, d := range reps {
+						if d == 0 || d >= sys.DisksPerSite {
+							alive = true
+							break
+						}
+					}
+					if !alive {
+						n++
+					}
+				}
+				return n
+			}
+			for d := 1; d < sys.DisksPerSite; d++ {
+				if err := s.FailDisk(d); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if !alive {
-				n++
+			s.Start(context.Background())
+			for _, q := range qs {
+				if err := s.Submit(context.Background(), q); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		return n
-	}
-	for d := 1; d < sys.DisksPerSite; d++ {
-		if err := s.FailDisk(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Start(context.Background())
-	for _, q := range qs {
-		if err := s.Submit(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	results, err := s.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalDead := 0
-	for i, r := range results {
-		want := deadOf(qs[i])
-		if r.Dropped != want {
-			t.Fatalf("query %d: dropped %d buckets, want %d", i, r.Dropped, want)
-		}
-		totalDead += want
-		if r.Rejected {
-			t.Fatalf("query %d rejected on a static mask", i)
-		}
-	}
-	fs := s.FaultStats()
-	if fs.DroppedBuckets != int64(totalDead) {
-		t.Fatalf("dropped-bucket counter %d, want %d", fs.DroppedBuckets, totalDead)
-	}
-	if fs.DegradedQueries != int64(len(qs)) {
-		t.Fatalf("degraded counter %d, want %d", fs.DegradedQueries, len(qs))
+			results, err := s.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			totalDead := 0
+			for i, r := range results {
+				want := deadOf(qs[i])
+				if r.Dropped != want {
+					t.Fatalf("query %d: dropped %d buckets, want %d", i, r.Dropped, want)
+				}
+				totalDead += want
+				if r.Rejected {
+					t.Fatalf("query %d rejected on a static mask", i)
+				}
+			}
+			fs := s.FaultStats()
+			if fs.DroppedBuckets != int64(totalDead) {
+				t.Fatalf("dropped-bucket counter %d, want %d", fs.DroppedBuckets, totalDead)
+			}
+			if fs.DegradedQueries != int64(len(qs)) {
+				t.Fatalf("degraded counter %d, want %d", fs.DegradedQueries, len(qs))
+			}
+		})
 	}
 }
 
