@@ -23,10 +23,11 @@ test:
 	$(GO) test ./...
 
 ## race: race-detector stress over the lock-free solver, its callers,
-## the sharded serving layer, the HTTP front end, and the analysis
-## framework's driver tests.
+## the sharded serving layer, the HTTP front end, the imflow-serve
+## command (its SIGTERM test drives the whole front end through both
+## Shutdowns), and the analysis framework's driver tests.
 race:
-	$(GO) test -race ./internal/maxflow/... ./internal/retrieval/... ./internal/serve/... ./internal/httpd/... ./internal/sim/... ./internal/fault/... ./internal/analysis/...
+	$(GO) test -race ./internal/maxflow/... ./internal/retrieval/... ./internal/serve/... ./internal/httpd/... ./internal/sim/... ./internal/fault/... ./internal/analysis/... ./cmd/imflow-serve/
 
 ## lint: the repository's twelve custom analyzers (microsfloat, satarith,
 ## sattaint, atomicfield, lockguard, noalloc, erruse, directive, plus the

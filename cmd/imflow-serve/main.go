@@ -1,10 +1,10 @@
 // Command imflow-serve runs the HTTP retrieval front end over one
 // paper-scale cell: POST /v1/query and /v1/submit serve bucket or raw
 // replica queries through the sharded serving layer with deadline
-// propagation, per-client rate limiting, overload shedding, and
-// per-shard circuit breakers; GET /healthz, /readyz, and /metrics expose
-// liveness, drain state, and the degradation counters. SIGINT/SIGTERM
-// trigger a graceful drain bounded by -drain-timeout.
+// propagation, per-client rate limiting, and overload shedding; GET
+// /healthz, /readyz, and /metrics expose liveness, drain state, and the
+// degradation counters. SIGINT/SIGTERM trigger a graceful drain bounded
+// by -drain-timeout.
 //
 // Usage:
 //

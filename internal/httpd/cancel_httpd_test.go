@@ -42,7 +42,7 @@ func TestClientDisconnectReleasesSlot(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan outcome, 1)
 		go func() {
-			done <- s.dispatch(ctx, QueryRequest{Buckets: []int{i % 36}})
+			done <- s.dispatch(ctx, QueryRequest{Buckets: []int{i % 36}}, s.pickShard())
 		}()
 		if i%2 == 0 {
 			cancel() // race the dispatch from the very start
@@ -114,7 +114,7 @@ func TestSubmitCancelShutdownStressHTTP(t *testing.T) {
 				}
 				done := make(chan struct{})
 				go func() {
-					s.dispatch(ctx, qr)
+					s.dispatch(ctx, qr, s.pickShard())
 					close(done)
 				}()
 				if rng.Intn(3) == 0 {
@@ -142,7 +142,7 @@ func TestSubmitCancelShutdownStressHTTP(t *testing.T) {
 	}
 	st := s.Stats()
 	terminal := st.Served + st.ShedRejected + st.ShedEvicted + st.Deadline + st.ClientGone +
-		st.Backpressure + st.BreakerDenied + st.FaultExhausted + st.Unavailable
+		st.Backpressure + st.Unavailable
 	if st.Served == 0 {
 		t.Fatal("stress served nothing; the workload never reached the backend")
 	}

@@ -19,7 +19,6 @@ type outcome struct {
 	transient  bool          // retrying the same request later may succeed
 	res        serve.Result  // valid when status is 200
 	shard      int           // shard that served it (200 only)
-	retries    int           // transient resubmissions performed
 	handedOff  bool          // slot ownership moved to a reaper goroutine
 }
 
@@ -64,18 +63,12 @@ func (s *Server) overloadTriggered() bool {
 	return s.opt.ShedP99 > 0 && s.met.p99() > s.opt.ShedP99
 }
 
-// dispatch runs one validated query through the full lifecycle:
-// overload control, slot + sequence acquisition, deadline-propagated
-// admission, retry with jittered backoff behind the shard breakers, and
-// the terminal wait. rctx is the client's request context; its
-// cancellation propagates all the way into the shard queue.
-func (s *Server) dispatch(rctx context.Context, qr QueryRequest) outcome {
-	return s.dispatchShard(rctx, qr, -1)
-}
-
-// dispatchShard is dispatch with the first attempt's shard pinned;
-// see attempt.
-func (s *Server) dispatchShard(rctx context.Context, qr QueryRequest, pinned int) outcome {
+// dispatch runs one validated query through the full lifecycle on
+// shard: overload control, slot + sequence acquisition,
+// deadline-propagated admission, and the terminal wait. rctx is the
+// client's request context; its cancellation propagates all the way into
+// the shard queue.
+func (s *Server) dispatch(rctx context.Context, qr QueryRequest, shard int) outcome {
 	if s.isDraining() {
 		s.met.unavailable.Add(1)
 		return outcome{status: http.StatusServiceUnavailable, msg: "draining", retryAfter: time.Second}
@@ -110,7 +103,7 @@ func (s *Server) dispatchShard(rctx context.Context, qr QueryRequest, pinned int
 		s.adm.release(id)
 		return s.interrupted(qctx)
 	}
-	out := s.attempt(qctx, seq, replicas, deadline, pinned)
+	out := s.attempt(qctx, seq, shard, replicas, deadline)
 	if !out.handedOff {
 		s.releaseSeq(seq)
 	}
@@ -118,134 +111,65 @@ func (s *Server) dispatchShard(rctx context.Context, qr QueryRequest, pinned int
 	return out
 }
 
-// attempt is the submit/wait/retry loop over one acquired sequence
-// slot. pinned, when >= 0, fixes the first attempt's shard (the batch
-// endpoint pins a whole SubmitRequest to one closed-breaker shard so
-// the serving worker coalesces it into one admission batch); retries
-// fall back to breaker-aware selection. It never blocks indefinitely:
+// attempt submits the query once to shard over one acquired sequence
+// slot and waits for its terminal result. It never blocks indefinitely:
 // every wait selects on qctx and the stop switch, and abandoning an
 // in-flight query hands the slot to a reaper instead of leaking it.
-//
-// Breaker discipline: once a shard is chosen its breaker may hold a
-// half-open probe reservation on this request's behalf, so every
-// terminal path must settle it — ok on success, fail on a health
-// verdict (RejectFaults, admission timeout), abandon on everything
-// that says nothing about shard health (deadlines, cancellation,
-// server stop). An unsettled probe would wedge the shard out of
-// routing forever.
-func (s *Server) attempt(qctx context.Context, seq int, replicas [][]int, deadline time.Time, pinned int) outcome {
-	retries := 0
-	for {
-		shard := pinned
-		pinned = -1
-		if shard < 0 {
-			shard = s.pickShard(time.Now())
-		}
-		if shard < 0 {
-			s.met.breakerDenied.Add(1)
-			return outcome{status: http.StatusServiceUnavailable, msg: "every shard circuit open",
-				retryAfter: s.opt.BreakerCooldown, transient: true, retries: retries}
-		}
-		brk := s.brks[shard]
-		var budget time.Duration
-		if !deadline.IsZero() {
-			if budget = time.Until(deadline); budget <= 0 {
-				brk.abandon()
-				s.met.deadline.Add(1)
-				return outcome{status: http.StatusGatewayTimeout, msg: "deadline exceeded", retries: retries}
-			}
-		}
-		q := serve.Query{Seq: seq, Replicas: replicas, Deadline: budget, Ctx: qctx}
-		actx, acancel := context.WithTimeout(qctx, s.opt.AdmitTimeout)
-		err := s.srv.SubmitTo(actx, shard, q)
-		acancel()
-		switch {
-		case err == nil:
-		case errors.Is(err, serve.ErrDeadlineExceeded):
-			brk.abandon()
+func (s *Server) attempt(qctx context.Context, seq, shard int, replicas [][]int, deadline time.Time) outcome {
+	var budget time.Duration
+	if !deadline.IsZero() {
+		if budget = time.Until(deadline); budget <= 0 {
 			s.met.deadline.Add(1)
-			return outcome{status: http.StatusGatewayTimeout, msg: "deadline exceeded before admission", retries: retries}
-		case qctx.Err() != nil:
-			brk.abandon()
-			o := s.interrupted(qctx)
-			o.retries = retries
-			return o
-		case errors.Is(err, context.DeadlineExceeded):
-			// AdmitTimeout elapsed against a full shard queue: explicit
-			// backpressure, and a health strike against the shard.
-			brk.fail(time.Now())
-			s.met.backpressure.Add(1)
-			return outcome{status: http.StatusTooManyRequests, msg: "admission queue full",
-				retryAfter: s.opt.AdmitTimeout, transient: true, retries: retries}
-		default:
-			brk.abandon()
-			s.met.unavailable.Add(1)
-			return outcome{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: time.Second, retries: retries}
-		}
-
-		select {
-		case r := <-s.waiters[seq]:
-			switch {
-			case !r.Rejected:
-				brk.ok()
-				s.met.served.Add(1)
-				s.met.observe(r.Latency)
-				return outcome{status: http.StatusOK, res: r, shard: shard, retries: retries}
-			case r.Reason == serve.RejectDeadline:
-				brk.abandon()
-				s.met.deadline.Add(1)
-				return outcome{status: http.StatusGatewayTimeout, msg: "deadline exceeded in queue", retries: retries}
-			case r.Reason == serve.RejectCanceled:
-				brk.abandon()
-				o := s.interrupted(qctx)
-				o.retries = retries
-				return o
-			default: // serve.RejectFaults: transient, retry with backoff
-				brk.fail(time.Now())
-				if retries >= s.opt.MaxRetries {
-					s.met.faultExhausted.Add(1)
-					return outcome{status: http.StatusServiceUnavailable,
-						msg:        "transient fault: fault-epoch retries exhausted",
-						retryAfter: s.opt.BreakerCooldown, transient: true, retries: retries}
-				}
-				retries++
-				s.met.retries.Add(1)
-				if !s.backoff(qctx, retries) {
-					o := s.interrupted(qctx)
-					o.retries = retries
-					return o
-				}
-			}
-		case <-qctx.Done():
-			// The query may still sit in the shard queue; a reaper waits
-			// out its terminal callback before recycling the slot.
-			brk.abandon()
-			s.reap(seq)
-			o := s.interrupted(qctx)
-			o.retries, o.handedOff = retries, true
-			return o
-		case <-s.stopped:
-			brk.abandon()
-			s.reap(seq)
-			s.met.unavailable.Add(1)
-			return outcome{status: http.StatusServiceUnavailable, msg: errServerStopped.Error(),
-				retryAfter: time.Second, retries: retries, handedOff: true}
+			return outcome{status: http.StatusGatewayTimeout, msg: "deadline exceeded"}
 		}
 	}
-}
+	q := serve.Query{Seq: seq, Replicas: replicas, Deadline: budget, Ctx: qctx}
+	actx, acancel := context.WithTimeout(qctx, s.opt.AdmitTimeout)
+	err := s.srv.SubmitTo(actx, shard, q)
+	acancel()
+	switch {
+	case err == nil:
+	case errors.Is(err, serve.ErrDeadlineExceeded):
+		s.met.deadline.Add(1)
+		return outcome{status: http.StatusGatewayTimeout, msg: "deadline exceeded before admission"}
+	case qctx.Err() != nil:
+		return s.interrupted(qctx)
+	case errors.Is(err, context.DeadlineExceeded):
+		// AdmitTimeout elapsed against a full shard queue: explicit
+		// backpressure.
+		s.met.backpressure.Add(1)
+		return outcome{status: http.StatusTooManyRequests, msg: "admission queue full",
+			retryAfter: s.opt.AdmitTimeout, transient: true}
+	default:
+		s.met.unavailable.Add(1)
+		return outcome{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: time.Second}
+	}
 
-// backoff sleeps the attempt'th jittered retry delay, cut short by
-// cancellation or a stop; it reports whether the retry should proceed.
-func (s *Server) backoff(qctx context.Context, attempt int) bool {
-	t := time.NewTimer(s.jitteredBackoff(attempt))
-	defer t.Stop()
 	select {
-	case <-t.C:
-		return true
+	case r := <-s.waiters[seq]:
+		switch {
+		case !r.Rejected:
+			s.met.served.Add(1)
+			s.met.observe(r.Latency)
+			return outcome{status: http.StatusOK, res: r, shard: shard}
+		case r.Reason == serve.RejectDeadline:
+			s.met.deadline.Add(1)
+			return outcome{status: http.StatusGatewayTimeout, msg: "deadline exceeded in queue"}
+		default: // serve.RejectCanceled
+			return s.interrupted(qctx)
+		}
 	case <-qctx.Done():
-		return false
+		// The query may still sit in the shard queue; a reaper waits
+		// out its terminal callback before recycling the slot.
+		s.reap(seq)
+		o := s.interrupted(qctx)
+		o.handedOff = true
+		return o
 	case <-s.stopped:
-		return false
+		s.reap(seq)
+		s.met.unavailable.Add(1)
+		return outcome{status: http.StatusServiceUnavailable, msg: errServerStopped.Error(),
+			retryAfter: time.Second, handedOff: true}
 	}
 }
 

@@ -20,7 +20,6 @@ type QueryResponse struct {
 	Dropped        int   `json:"dropped,omitempty"`
 	Failovers      int   `json:"failovers,omitempty"`
 	Shard          int   `json:"shard"`
-	Retries        int   `json:"retries,omitempty"`
 }
 
 // ErrorResponse is the wire form of every non-200 answer.
@@ -117,7 +116,6 @@ func queryResponse(o outcome) *QueryResponse {
 		Dropped:        o.res.Dropped,
 		Failovers:      o.res.Failovers,
 		Shard:          o.shard,
-		Retries:        o.retries,
 	}
 }
 
@@ -204,15 +202,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.met.addClient(client, false, false, cw.n)
 		return
 	}
-	o := s.dispatch(r.Context(), qr)
+	o := s.dispatch(r.Context(), qr, s.pickShard())
 	writeOutcome(cw, o)
 	s.met.addClient(client, o.status == http.StatusOK, false, cw.n)
 }
 
-// handleSubmit is POST /v1/submit: a query batch pinned to one
-// closed-breaker shard so the serving worker coalesces it into one
-// admission batch; with no circuit closed, items route individually so
-// a half-open shard still sees at most its single probe. Items are
+// handleSubmit is POST /v1/submit: a query batch pinned to one shard so
+// the serving worker coalesces it into one admission batch. Items are
 // dispatched concurrently and answered per item; the HTTP status is 200
 // whenever the envelope itself was acceptable.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -248,14 +244,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Add(int64(len(sr.Queries) - 1)) // count batch items, not envelopes
 	s.rl.charge(client, time.Now(), float64(len(sr.Queries)-1))
 
-	pinned := s.pickShardClosed()
+	shard := s.pickShard()
 	items := make([]SubmitItem, len(sr.Queries))
 	var wg sync.WaitGroup
 	for i := range sr.Queries {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			o := s.dispatchShard(r.Context(), sr.Queries[i], pinned)
+			o := s.dispatch(r.Context(), sr.Queries[i], shard)
 			if o.status == 0 {
 				// Client gone: fill a terminal status anyway; the write
 				// below will fail harmlessly on the dead connection.
@@ -322,43 +318,35 @@ func (s *Server) Stats() Stats {
 	if uptime > 0 {
 		qps = float64(served) / uptime
 	}
-	breakers := make([]string, len(s.brks))
-	for i, b := range s.brks {
-		breakers[i] = b.snapshot()
-	}
 	buckets := 0
 	if s.alloc != nil {
 		buckets = s.alloc.Grid.Buckets()
 	}
 	return Stats{
-		UptimeSeconds:  uptime,
-		QPS:            qps,
-		Requests:       s.met.requests.Load(),
-		Served:         served,
-		BadRequest:     s.met.badRequest.Load(),
-		RateLimited:    s.met.rateLimited.Load(),
-		Backpressure:   s.met.backpressure.Load(),
-		ShedRejected:   s.met.shedRejected.Load(),
-		ShedEvicted:    s.met.shedEvicted.Load(),
-		BreakerDenied:  s.met.breakerDenied.Load(),
-		FaultExhausted: s.met.faultExhausted.Load(),
-		Unavailable:    s.met.unavailable.Load(),
-		Deadline:       s.met.deadline.Load(),
-		ClientGone:     s.met.clientGone.Load(),
-		Retries:        s.met.retries.Load(),
-		EgressBytes:    s.met.egressBytes.Load(),
-		P50LatencyUs:   p50,
-		P95LatencyUs:   p95,
-		P99LatencyUs:   p99,
-		QueueDepths:    s.srv.QueueDepths(nil),
-		Breakers:       breakers,
-		Inflight:       s.adm.depth(),
-		Policy:         s.opt.Policy.String(),
-		Draining:       s.isDraining(),
-		Serve:          s.srv.SolveStats(),
-		Fault:          s.srv.FaultStats(),
-		Clients:        s.met.clientSnapshot(),
-		Buckets:        buckets,
-		Disks:          s.sys.NumDisks(),
+		UptimeSeconds: uptime,
+		QPS:           qps,
+		Requests:      s.met.requests.Load(),
+		Served:        served,
+		BadRequest:    s.met.badRequest.Load(),
+		RateLimited:   s.met.rateLimited.Load(),
+		Backpressure:  s.met.backpressure.Load(),
+		ShedRejected:  s.met.shedRejected.Load(),
+		ShedEvicted:   s.met.shedEvicted.Load(),
+		Unavailable:   s.met.unavailable.Load(),
+		Deadline:      s.met.deadline.Load(),
+		ClientGone:    s.met.clientGone.Load(),
+		EgressBytes:   s.met.egressBytes.Load(),
+		P50LatencyUs:  p50,
+		P95LatencyUs:  p95,
+		P99LatencyUs:  p99,
+		QueueDepths:   s.srv.QueueDepths(nil),
+		Inflight:      s.adm.depth(),
+		Policy:        s.opt.Policy.String(),
+		Draining:      s.isDraining(),
+		Serve:         s.srv.SolveStats(),
+		Fault:         s.srv.FaultStats(),
+		Clients:       s.met.clientSnapshot(),
+		Buckets:       buckets,
+		Disks:         s.sys.NumDisks(),
 	}
 }

@@ -4,12 +4,12 @@
 // bounded overload controller (shedding by policy once the window,
 // queue depths, or observed p99 cross their thresholds), translated
 // into serve.Query admissions with the client's deadline and
-// cancellation propagated, retried with jittered backoff behind
-// per-shard circuit breakers when the fault layer reports transient
-// trouble, and answered with explicit backpressure statuses (429/503 +
-// Retry-After) instead of unbounded queueing. /healthz, /readyz, and
-// /metrics expose liveness, drain state, and the full degradation
-// counter set.
+// cancellation propagated, submitted once to a seeded shard draw, and
+// answered with explicit backpressure statuses (429/503 + Retry-After)
+// instead of unbounded queueing. A disk failure never reaches the front
+// end as a rejection: the serve layer repairs the schedule in place.
+// /healthz, /readyz, and /metrics expose liveness, drain state, and the
+// full degradation counter set.
 package httpd
 
 import (
@@ -53,25 +53,14 @@ type Options struct {
 	// AdmitTimeout bounds how long a dispatch may block on a full shard
 	// queue before answering 429 backpressure. <= 0 means 100ms.
 	AdmitTimeout time.Duration
-	// MaxRetries bounds transient (fault-epoch) resubmissions per
-	// request, beyond the first attempt. <= 0 means 2.
-	MaxRetries int
-	// RetryBackoff is the base of the jittered exponential backoff
-	// between transient retries. <= 0 means 2ms.
-	RetryBackoff time.Duration
-	// BreakerThreshold is the consecutive transient failure count that
-	// opens a shard's circuit. <= 0 means 5.
-	BreakerThreshold int
-	// BreakerCooldown is the open-state dwell before a half-open probe.
-	// <= 0 means 250ms.
-	BreakerCooldown time.Duration
 	// DefaultDeadline applies to requests that carry no deadline of
 	// their own. 0 means none.
 	DefaultDeadline time.Duration
 	// Limits bound request decoding; the Buckets/Disks id bounds are
 	// filled from the system and allocation when zero.
 	Limits Limits
-	// Seed feeds the backoff jitter. 0 means 1.
+	// Seed feeds the shard draw: one per /v1/query request, one per
+	// /v1/submit envelope. 0 means 1.
 	Seed uint64
 }
 
@@ -84,18 +73,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.AdmitTimeout <= 0 {
 		o.AdmitTimeout = 100 * time.Millisecond
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 250 * time.Millisecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -112,12 +89,11 @@ type Server struct {
 	alloc *decluster.Allocation // nil when only raw replica queries are accepted
 	opt   Options
 
-	srv  *serve.Server
-	mux  *http.ServeMux
-	adm  *admitter
-	rl   *rateLimiter
-	met  *metrics
-	brks []*breaker
+	srv *serve.Server
+	mux *http.ServeMux
+	adm *admitter
+	rl  *rateLimiter
+	met *metrics
 
 	// seqFree recycles serve sequence slots. Sized 2x the admission
 	// window so abandoned requests (client gone, result still in the
@@ -141,7 +117,7 @@ type Server struct {
 	inflight sync.WaitGroup
 
 	rngMu sync.Mutex
-	// rng feeds backoff jitter; guarded by rngMu.
+	// rng feeds the shard draw; guarded by rngMu.
 	rng *xrand.Source
 }
 
@@ -187,9 +163,6 @@ func New(sys *storage.System, alloc *decluster.Allocation, opt Options) (*Server
 		return nil, err
 	}
 	s.srv = srv
-	for i := 0; i < srv.Workers(); i++ {
-		s.brks = append(s.brks, &breaker{threshold: opt.BreakerThreshold, cooldown: opt.BreakerCooldown})
-	}
 
 	bg, cancel := context.WithCancel(context.Background())
 	s.bgCancel = cancel
@@ -298,49 +271,12 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-// jitteredBackoff is the attempt'th (1-based) transient retry delay:
-// exponential base with a uniform [0.5, 1.5) jitter factor.
-func (s *Server) jitteredBackoff(attempt int) time.Duration {
-	base := s.opt.RetryBackoff << (attempt - 1)
+// pickShard draws the shard for one /v1/query request or one whole
+// /v1/submit envelope: a seeded uniform draw. Every item of an envelope
+// goes to the same shard, so the serving worker coalesces the envelope
+// into one admission batch.
+func (s *Server) pickShard() int {
 	s.rngMu.Lock()
-	f := 0.5 + s.rng.Float64()
-	s.rngMu.Unlock()
-	return time.Duration(float64(base) * f)
-}
-
-// pickShard chooses a shard whose breaker admits traffic, round-robin
-// from a seeded start. Returns -1 when every circuit is open.
-func (s *Server) pickShard(now time.Time) int {
-	n := len(s.brks)
-	s.rngMu.Lock()
-	start := s.rng.Intn(n)
-	s.rngMu.Unlock()
-	for i := 0; i < n; i++ {
-		shard := (start + i) % n
-		if s.brks[shard].allow(now) {
-			return shard
-		}
-	}
-	return -1
-}
-
-// pickShardClosed chooses a shard whose breaker is fully closed,
-// round-robin from a seeded start, consuming nothing. The batch
-// endpoint pins whole SubmitRequests through it: allow would hand out a
-// half-open shard's single probe slot and then see the entire batch
-// land on the sick shard as its "probe". Returns -1 when no circuit is
-// closed; callers then leave items to per-item breaker-aware routing,
-// which preserves the one-probe-at-a-time discipline.
-func (s *Server) pickShardClosed() int {
-	n := len(s.brks)
-	s.rngMu.Lock()
-	start := s.rng.Intn(n)
-	s.rngMu.Unlock()
-	for i := 0; i < n; i++ {
-		shard := (start + i) % n
-		if s.brks[shard].closed() {
-			return shard
-		}
-	}
-	return -1
+	defer s.rngMu.Unlock()
+	return s.rng.Intn(s.srv.Workers())
 }

@@ -115,8 +115,8 @@ func TestProbesAndMetricsEndpoints(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("metrics is not a Stats document: %v", err)
 	}
-	if len(st.QueueDepths) == 0 || len(st.Breakers) == 0 {
-		t.Fatalf("metrics missing queue/breaker columns: %+v", st)
+	if len(st.QueueDepths) == 0 {
+		t.Fatalf("metrics missing the queue-depth column: %+v", st)
 	}
 }
 
@@ -219,6 +219,11 @@ func TestSubmitBatch(t *testing.T) {
 		if it.Status != http.StatusOK || it.Query == nil || it.Query.ResponseTimeUs <= 0 {
 			t.Fatalf("item %d: %+v", i, it)
 		}
+		// One envelope, one shard: the serving worker coalesces it into
+		// one admission batch.
+		if it.Query.Shard != sr.Results[0].Query.Shard {
+			t.Fatalf("item %d served on shard %d, item 0 on shard %d", i, it.Query.Shard, sr.Results[0].Query.Shard)
+		}
 	}
 	if st := s.Stats(); st.Served != 3 || st.Requests != 3 {
 		t.Fatalf("stats served=%d requests=%d, want 3/3", st.Served, st.Requests)
@@ -254,73 +259,6 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	}
 	if status, _ := post(t, hs.URL+"/v1/query", `{"buckets":[3]}`, nil); status != http.StatusServiceUnavailable {
 		t.Fatalf("query after shutdown: %d, want 503", status)
-	}
-}
-
-// TestProbeSlotNotLeakedOnDeadlineExpiry is the regression for the
-// half-open wedge: a probe request that terminates without a health
-// verdict (here: deadline spent before submit) must release its probe
-// reservation, or the shard stays excluded from routing forever.
-func TestProbeSlotNotLeakedOnDeadlineExpiry(t *testing.T) {
-	s, _ := newFrontend(t, Options{BreakerThreshold: 1, BreakerCooldown: time.Minute})
-	now := time.Now()
-	// Shard 0: opened long ago, cooldown elapsed — the next allow grants
-	// its half-open probe. Every other shard: opened just now, hard off.
-	s.brks[0].fail(now.Add(-2 * time.Minute))
-	for _, b := range s.brks[1:] {
-		b.fail(now)
-	}
-
-	qctx, qcancel := context.WithCancelCause(context.Background())
-	defer qcancel(nil)
-	replicas, err := s.resolveReplicas(QueryRequest{Buckets: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, ok := s.acquireSeq(qctx)
-	if !ok {
-		t.Fatal("seq acquisition failed")
-	}
-	o := s.attempt(qctx, seq, replicas, now.Add(-time.Millisecond), -1)
-	if !o.handedOff {
-		s.releaseSeq(seq)
-	}
-	if o.status != http.StatusGatewayTimeout {
-		t.Fatalf("expired budget: %d %q, want 504", o.status, o.msg)
-	}
-	if st := s.brks[0].snapshot(); st != "half-open" {
-		t.Fatalf("shard 0 %s after abandoned probe, want half-open", st)
-	}
-	// A leaked reservation would leave every circuit unroutable here,
-	// answering 503 "every shard circuit open" until restart.
-	if got := s.pickShard(time.Now()); got != 0 {
-		t.Fatalf("pickShard = %d after abandoned probe, want shard 0", got)
-	}
-}
-
-// TestPickShardClosedSkipsHalfOpen pins batches only through closed
-// circuits: handing a half-open shard's single probe slot to a whole
-// batch would send up to MaxBatch requests at a sick shard as its
-// "probe".
-func TestPickShardClosedSkipsHalfOpen(t *testing.T) {
-	s, _ := newFrontend(t, Options{BreakerThreshold: 1, BreakerCooldown: time.Minute})
-	if got := s.pickShardClosed(); got < 0 {
-		t.Fatal("no batch pin with every circuit closed")
-	}
-	now := time.Now()
-	// Shard 0 is probe-eligible (open, cooldown elapsed), the rest hard
-	// open: no circuit is closed, so the pin must decline and leave the
-	// items to per-item breaker-aware routing.
-	s.brks[0].fail(now.Add(-2 * time.Minute))
-	for _, b := range s.brks[1:] {
-		b.fail(now)
-	}
-	if got := s.pickShardClosed(); got != -1 {
-		t.Fatalf("batch pin chose shard %d with no closed circuit, want -1", got)
-	}
-	// The decline consumed nothing: the probe is still grantable.
-	if !s.brks[0].allow(now) {
-		t.Fatal("pickShardClosed consumed the half-open probe slot")
 	}
 }
 
@@ -370,7 +308,7 @@ func TestDeadlineAlreadyExpiredUpstream(t *testing.T) {
 	if !ok {
 		t.Fatal("seq acquisition failed")
 	}
-	o := s.attempt(qctx, seq, replicas, deadline, -1)
+	o := s.attempt(qctx, seq, 0, replicas, deadline)
 	if !o.handedOff {
 		s.releaseSeq(seq)
 	}

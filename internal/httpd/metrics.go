@@ -31,20 +31,17 @@ const overflowClient = "(overflow)"
 type metrics struct {
 	start time.Time
 
-	requests       atomic.Int64 // queries received (batch items counted individually)
-	served         atomic.Int64 // 200s
-	badRequest     atomic.Int64 // 400/413
-	rateLimited    atomic.Int64 // 429 token bucket, per rejected envelope (pre-decode, size unknown)
-	backpressure   atomic.Int64 // 429 admission queue full past AdmitTimeout
-	shedRejected   atomic.Int64 // 503 reject-new shedding
-	shedEvicted    atomic.Int64 // 503 drop-latest-deadline eviction
-	breakerDenied  atomic.Int64 // 503 every shard's breaker open
-	faultExhausted atomic.Int64 // 503 transient retries exhausted
-	unavailable    atomic.Int64 // 503 draining or server failed
-	deadline       atomic.Int64 // 408/504 budget spent before or during queueing
-	clientGone     atomic.Int64 // request abandoned: client disconnected mid-flight
-	retries        atomic.Int64 // transient resubmissions
-	egressBytes    atomic.Int64
+	requests     atomic.Int64 // queries received (batch items counted individually)
+	served       atomic.Int64 // 200s
+	badRequest   atomic.Int64 // 400/413
+	rateLimited  atomic.Int64 // 429 token bucket, per rejected envelope (pre-decode, size unknown)
+	backpressure atomic.Int64 // 429 admission queue full past AdmitTimeout
+	shedRejected atomic.Int64 // 503 reject-new shedding
+	shedEvicted  atomic.Int64 // 503 drop-latest-deadline eviction
+	unavailable  atomic.Int64 // 503 draining or server failed
+	deadline     atomic.Int64 // 408/504 budget spent before or during queueing
+	clientGone   atomic.Int64 // request abandoned: client disconnected mid-flight
+	egressBytes  atomic.Int64
 
 	cachedP99Us atomic.Int64
 
@@ -165,30 +162,31 @@ type Stats struct {
 	// windowed rate.
 	QPS float64 `json:"qps"`
 
-	Requests       int64 `json:"requests"`
-	Served         int64 `json:"served"`
-	BadRequest     int64 `json:"bad_request"`
-	RateLimited    int64 `json:"rate_limited"`
-	Backpressure   int64 `json:"backpressure"`
-	ShedRejected   int64 `json:"shed_rejected"`
-	ShedEvicted    int64 `json:"shed_evicted"`
-	BreakerDenied  int64 `json:"breaker_denied"`
-	FaultExhausted int64 `json:"fault_exhausted"`
-	Unavailable    int64 `json:"unavailable"`
-	Deadline       int64 `json:"deadline"`
-	ClientGone     int64 `json:"client_gone"`
-	Retries        int64 `json:"retries"`
-	EgressBytes    int64 `json:"egress_bytes"`
+	Requests     int64 `json:"requests"`
+	Served       int64 `json:"served"`
+	BadRequest   int64 `json:"bad_request"`
+	RateLimited  int64 `json:"rate_limited"`
+	Backpressure int64 `json:"backpressure"`
+	ShedRejected int64 `json:"shed_rejected"`
+	ShedEvicted  int64 `json:"shed_evicted"`
+	Unavailable  int64 `json:"unavailable"`
+	Deadline     int64 `json:"deadline"`
+	ClientGone   int64 `json:"client_gone"`
+	// Retries always reads 0: the front end submits each query exactly
+	// once, and the serve layer's in-place repairs after a mid-solve disk
+	// failure are counted in Fault.Retries. The field stays because
+	// perfbench's httpd.retries_per_query reads it.
+	Retries     int64 `json:"retries"`
+	EgressBytes int64 `json:"egress_bytes"`
 
 	P50LatencyUs float64 `json:"p50_latency_us"`
 	P95LatencyUs float64 `json:"p95_latency_us"`
 	P99LatencyUs float64 `json:"p99_latency_us"`
 
-	QueueDepths []int    `json:"queue_depths"`
-	Breakers    []string `json:"breakers"`
-	Inflight    int      `json:"inflight"`
-	Policy      string   `json:"policy"`
-	Draining    bool     `json:"draining"`
+	QueueDepths []int  `json:"queue_depths"`
+	Inflight    int    `json:"inflight"`
+	Policy      string `json:"policy"`
+	Draining    bool   `json:"draining"`
 
 	Serve serve.SolveStats `json:"serve"`
 	Fault serve.FaultStats `json:"fault"`

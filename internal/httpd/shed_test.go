@@ -28,7 +28,7 @@ func TestShedEvictionCountedByVictim(t *testing.T) {
 	}
 	defer s.adm.release(id)
 
-	o := s.dispatch(context.Background(), QueryRequest{Buckets: []int{1}, DeadlineMs: 2000})
+	o := s.dispatch(context.Background(), QueryRequest{Buckets: []int{1}, DeadlineMs: 2000}, s.pickShard())
 	if o.status != http.StatusOK {
 		t.Fatalf("urgent newcomer: %d %q, want 200", o.status, o.msg)
 	}
@@ -90,7 +90,7 @@ func TestShedOverloadReconciles(t *testing.T) {
 
 			st := s.Stats()
 			outcomes := st.Served + st.BadRequest + st.RateLimited + st.Backpressure + st.ShedRejected +
-				st.ShedEvicted + st.BreakerDenied + st.FaultExhausted + st.Unavailable + st.Deadline + st.ClientGone
+				st.ShedEvicted + st.Unavailable + st.Deadline + st.ClientGone
 			if st.Requests != outcomes {
 				t.Fatalf("requests %d, outcomes %d: %+v", st.Requests, outcomes, st)
 			}

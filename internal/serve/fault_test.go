@@ -213,6 +213,40 @@ func TestAdmissionDeadline(t *testing.T) {
 	}
 }
 
+// busiestDisk returns the disk sch routes the most blocks through, or -1
+// when it routes none.
+func busiestDisk(sch *retrieval.Schedule) int {
+	best, most := -1, int64(0)
+	for d, k := range sch.Counts {
+		if k > most {
+			best, most = d, k
+		}
+	}
+	return best
+}
+
+// repairErrs checks a schedule written back after in-place repairs: it
+// routes no block through a failed disk, and it is a valid partial
+// schedule whose unassigned buckets are the dropped ones.
+func repairErrs(p *retrieval.Problem, sch *retrieval.Schedule, failed []int) []string {
+	var errs []string
+	for _, d := range failed {
+		if sch.Counts[d] > 0 {
+			errs = append(errs, fmt.Sprintf("schedule routes %d blocks through failed disk %d", sch.Counts[d], d))
+		}
+	}
+	var dead []int
+	for b, d := range sch.Assignment {
+		if d < 0 {
+			dead = append(dead, b)
+		}
+	}
+	if err := p.ValidatePartialSchedule(sch, dead); err != nil {
+		errs = append(errs, err.Error())
+	}
+	return errs
+}
+
 // TestFailoverBetweenSnapshotAndMerge injects a disk failure in exactly
 // the window the online mode is vulnerable to — after a worker solved
 // against its health snapshot, before the write-back — and requires the
@@ -224,50 +258,34 @@ func TestFailoverBetweenSnapshotAndMerge(t *testing.T) {
 
 	var mu sync.Mutex
 	var hookErrs []string
-	failed := -1
+	var failed []int
 	s, err := New(sys, len(qs), Options{
-		Workers: 1, Batch: 4, MaxRetries: 3, RetryBackoff: 10 * time.Microsecond,
+		Workers: 1, Batch: 4,
 		// Arm fault mode with an empty schedule; the one event comes from
 		// FailDisk inside the injection hook below.
 		Fault: &fault.Schedule{NumDisks: sys.NumDisks()},
 		OnSchedule: func(worker int, q *Query, p *retrieval.Problem, sch *retrieval.Schedule) {
 			mu.Lock()
 			defer mu.Unlock()
-			if failed >= 0 && sch.Counts[failed] > 0 {
-				hookErrs = append(hookErrs, "schedule still routes through the failed disk")
-			}
-			var dead []int
-			for b, d := range sch.Assignment {
-				if d < 0 {
-					dead = append(dead, b)
-				}
-			}
-			if err := p.ValidatePartialSchedule(sch, dead); err != nil {
-				hookErrs = append(hookErrs, err.Error())
-			}
+			hookErrs = append(hookErrs, repairErrs(p, sch, failed)...)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The test hook runs between the solve and the mid-solve-failure
+	// The test hook runs between the solve and each mid-solve-failure
 	// check: fail the busiest disk of the just-solved schedule, once.
 	s.afterSolve = func(w *worker, q *Query) {
 		mu.Lock()
 		defer mu.Unlock()
-		if failed >= 0 {
+		if len(failed) > 0 {
 			return
 		}
-		best, bestCount := -1, int64(0)
-		for j, c := range w.res.Schedule.Counts {
-			if c > bestCount {
-				best, bestCount = j, c
-			}
-		}
+		best := busiestDisk(w.res.Schedule)
 		if best < 0 {
 			return
 		}
-		failed = best
+		failed = append(failed, best)
 		if err := s.FailDisk(best); err != nil {
 			hookErrs = append(hookErrs, err.Error())
 		}
@@ -287,7 +305,7 @@ func TestFailoverBetweenSnapshotAndMerge(t *testing.T) {
 	for _, e := range hookErrs {
 		t.Error(e)
 	}
-	if failed < 0 {
+	if len(failed) == 0 {
 		t.Fatal("the injection hook never fired")
 	}
 	repaired := 0
@@ -300,6 +318,82 @@ func TestFailoverBetweenSnapshotAndMerge(t *testing.T) {
 	fs := s.FaultStats()
 	if fs.Failovers == 0 || fs.Retries == 0 {
 		t.Fatalf("counters missed the repair: %+v", fs)
+	}
+}
+
+// TestFailoverRepairsUntilCurrent fails the busiest scheduled disk before
+// each of the first five mid-solve-failure checks of one wide query. The
+// worker must keep repairing in place until the schedule is current,
+// however many rounds that takes: the query is served, not rejected, and
+// its final schedule routes nothing through a failed disk.
+func TestFailoverRepairsUntilCurrent(t *testing.T) {
+	const rounds = 5
+	sys, stream := testStream(t, 64, 21)
+	widest := stream[0]
+	for _, q := range stream[1:] {
+		if len(q.Replicas) > len(widest.Replicas) {
+			widest = q
+		}
+	}
+
+	// Both hooks run on the single worker goroutine, and Wait orders them
+	// before the checks below.
+	var failed []int
+	var hookErrs []string
+	schedules := 0
+	s, err := New(sys, 1, Options{
+		Workers: 1,
+		// Arm fault mode with an empty schedule; the failures come from
+		// FailDisk inside the injection hook below.
+		Fault: &fault.Schedule{NumDisks: sys.NumDisks()},
+		OnSchedule: func(_ int, _ *Query, p *retrieval.Problem, sch *retrieval.Schedule) {
+			schedules++
+			hookErrs = append(hookErrs, repairErrs(p, sch, failed)...)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.afterSolve = func(w *worker, _ *Query) {
+		if len(failed) == rounds {
+			return
+		}
+		busiest := busiestDisk(w.res.Schedule)
+		if busiest < 0 {
+			hookErrs = append(hookErrs, "the schedule routes no block")
+			return
+		}
+		failed = append(failed, busiest)
+		if err := s.FailDisk(busiest); err != nil {
+			hookErrs = append(hookErrs, err.Error())
+		}
+	}
+	s.Start(context.Background())
+	if err := s.Submit(context.Background(), Query{Seq: 0, Arrival: widest.Arrival, Replicas: widest.Replicas}); err != nil {
+		t.Fatal(err)
+	}
+	results, err := s.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range hookErrs {
+		t.Error(e)
+	}
+	if len(failed) != rounds {
+		t.Fatalf("the hook failed %d disks, want %d", len(failed), rounds)
+	}
+	r := results[0]
+	if r.Rejected || (r.ResponseTime <= 0 && r.Dropped != len(widest.Replicas)) {
+		t.Fatalf("query not served: %+v", r)
+	}
+	if r.Failovers != rounds {
+		t.Fatalf("query repaired %d times, want %d", r.Failovers, rounds)
+	}
+	if fs := s.FaultStats(); fs.Retries != rounds || fs.Rejected != 0 {
+		t.Fatalf("fault counters %+v, want %d retries and no rejection", fs, rounds)
+	}
+	if schedules != 1 {
+		t.Fatalf("OnSchedule ran %d times, want once", schedules)
 	}
 }
 
@@ -476,15 +570,15 @@ func TestAllReplicasDownPartialServe(t *testing.T) {
 // and workers under a dense generated chaos schedule plus concurrent
 // manual fail/recover. Under -race this exercises the snapshot/epoch
 // discipline; with -tags imflow_audit every degraded solve and failover
-// re-solve carries a max-flow certificate.
+// re-solve carries a max-flow certificate. The queries carry no deadline
+// and no context, so nothing may reject one: a fault never does.
 func TestChaosStress(t *testing.T) {
 	const submitters = 4
 	sys, stream := testStream(t, 120, 37)
 	qs := toServeQueries(stream)
 	s, err := New(sys, len(qs), Options{
 		Workers: 4, Batch: 4, QueueDepth: 8,
-		RetryBackoff: 20 * time.Microsecond,
-		Fault:        chaosFor(t, sys.NumDisks(), 77),
+		Fault: chaosFor(t, sys.NumDisks(), 77),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -519,11 +613,9 @@ func TestChaosStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range results {
-		// Every query ends in exactly one of three states: served
-		// (positive response), served fully degraded (every bucket
-		// dropped), or rejected after retry exhaustion.
-		if !r.Rejected && r.ResponseTime <= 0 && r.Dropped == 0 {
-			t.Fatalf("query %d neither served nor rejected: %+v", i, r)
+		// Served: a positive response, or every bucket dropped.
+		if r.Rejected || (r.ResponseTime <= 0 && r.Dropped != len(qs[i].Replicas)) {
+			t.Fatalf("query %d not served: %+v", i, r)
 		}
 	}
 }

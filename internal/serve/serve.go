@@ -88,9 +88,6 @@ const (
 	RejectDeadline
 	// RejectCanceled: the query's Ctx was canceled before pickup.
 	RejectCanceled
-	// RejectFaults: every bounded mid-solve failure repair was exhausted
-	// — a transient condition worth retrying once the fault epoch calms.
-	RejectFaults
 )
 
 // String implements fmt.Stringer.
@@ -102,8 +99,6 @@ func (r RejectReason) String() string {
 		return "deadline"
 	case RejectCanceled:
 		return "canceled"
-	case RejectFaults:
-		return "faults"
 	}
 	return fmt.Sprintf("RejectReason(%d)", uint8(r))
 }
@@ -127,9 +122,9 @@ type Result struct {
 	// applied: queueing plus batching plus the solve itself.
 	Latency time.Duration
 	// Rejected marks a query that was never served: its deadline passed
-	// in the queue, its context was canceled before pickup, or every
-	// bounded retry after mid-solve failures was exhausted. Response
-	// fields are zero; Reason says which of the three it was.
+	// in the queue or its context was canceled before pickup. A disk
+	// failure never rejects a query. Response fields are zero; Reason
+	// says which of the two it was.
 	Rejected bool
 	// Reason classifies a rejection; RejectNone on served queries.
 	Reason RejectReason
@@ -174,9 +169,9 @@ type Options struct {
 	OnSchedule func(worker int, q *Query, p *retrieval.Problem, s *retrieval.Schedule)
 	// OnResult, when non-nil, is invoked synchronously by the serving
 	// worker after every terminal outcome — served, deadline-rejected,
-	// canceled, or retry-exhausted — right after the result is recorded.
-	// It is the completion signal a front end builds request/response
-	// plumbing on: exactly one call per admitted query, from the worker
+	// or canceled — right after the result is recorded. It is the
+	// completion signal a front end builds request/response plumbing
+	// on: exactly one call per admitted query, from the worker
 	// goroutine, so implementations must be fast, must tolerate
 	// concurrent calls, and must not call back into the Server. Queries
 	// drained unserved after a server-level failure get no callback;
@@ -191,12 +186,6 @@ type Options struct {
 	// retrieval.FailoverSolvers (the default PRBinary is). An empty
 	// schedule leaves every result bit-identical to a fault-free run.
 	Fault *fault.Schedule
-	// MaxRetries bounds how many times a query bounced by a mid-solve
-	// disk failure is repaired before it is rejected. <= 0 means 3.
-	MaxRetries int
-	// RetryBackoff is the base of the exponential backoff (with jitter)
-	// between bounce repairs. <= 0 means 50µs.
-	RetryBackoff time.Duration
 }
 
 // FaultStats are the serving layer's graceful-degradation counters,
@@ -205,8 +194,8 @@ type FaultStats struct {
 	DegradedQueries int64 // queries served while at least one disk was failed
 	DroppedBuckets  int64 // buckets lost to all-replicas-down (partial retrievals)
 	Failovers       int64 // in-place MarkFailed repairs after mid-solve failures
-	Retries         int64 // bounce-repair rounds (each backs off before repairing)
-	Rejected        int64 // queries rejected: deadline passed or retries exhausted
+	Retries         int64 // repair rounds that found a scheduled disk failed
+	Rejected        int64 // queries rejected because their deadline passed
 	Canceled        int64 // queries whose Ctx was canceled before pickup
 }
 
@@ -229,12 +218,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.NewSolver == nil {
 		o.NewSolver = func() retrieval.ReusableSolver { return retrieval.NewPRBinary() }
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Microsecond
 	}
 	return o, nil
 }
@@ -306,8 +289,8 @@ type Server struct {
 	nSolves atomic.Int64
 	nWarm   atomic.Int64
 
-	// afterSolve, when non-nil, runs between a fault-mode solve and its
-	// mid-solve-failure check; in-package tests use it to inject a
+	// afterSolve, when non-nil, runs before every mid-solve-failure
+	// check of a fault-mode solve; in-package tests use it to inject a
 	// failure in exactly that window.
 	afterSolve func(w *worker, q *Query)
 }
@@ -341,8 +324,7 @@ func (s *Server) FaultStats() FaultStats {
 
 // FailDisk manually injects a disk failure, as a chaos schedule's Fail
 // event would. Safe to call concurrently with serving; queries already
-// solved onto the disk are repaired in place (bounded retries) before
-// their write-back.
+// solved onto the disk are repaired in place before their write-back.
 func (s *Server) FailDisk(disk int) error {
 	if !s.faultable {
 		return fmt.Errorf("serve: FailDisk needs failover-capable solvers (Options.NewSolver must build retrieval.FailoverSolvers)")

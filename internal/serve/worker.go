@@ -7,7 +7,6 @@ import (
 
 	"imflow/internal/cost"
 	"imflow/internal/retrieval"
-	"imflow/internal/xrand"
 )
 
 // sinceSubmit returns the wall-clock age of a query's admission, zero for
@@ -24,8 +23,8 @@ func sinceSubmit(q *Query) time.Duration {
 
 // record is the single terminal-outcome sink: it writes the query's slot
 // in the results array and fires the Options.OnResult hook. Every path
-// that finishes a query — served, deadline-rejected, canceled, or
-// retry-exhausted — must go through it exactly once.
+// that finishes a query — served, deadline-rejected, or canceled — must
+// go through it exactly once.
 //
 //imflow:noalloc
 func (w *worker) record(r Result) {
@@ -75,14 +74,13 @@ type worker struct {
 
 	// Fault-mode state: the failover view of the pinned solver (nil when
 	// the solver cannot mask), the batch-local snapshots of the health
-	// mask and slowdown factors, the epoch the snapshot was taken at, a
-	// conflict scratch list, and the retry-jitter generator.
+	// mask and slowdown factors, the epoch the snapshot was taken at, and
+	// a conflict scratch list.
 	fsolver   retrieval.FailoverSolver
 	mask      *retrieval.DiskMask
 	slow      []int64
 	epoch     uint64
 	conflicts []int
-	rng       *xrand.Source
 
 	// tableStale marks that a mid-batch fault refresh may have changed
 	// the slowdown factors, so the batch-shared disk table must be
@@ -103,7 +101,6 @@ func (s *Server) newWorker(id int) *worker {
 		batch:  make([]Query, 0, s.opt.Batch),
 		mask:   retrieval.NewDiskMask(n),
 		slow:   make([]int64, n),
-		rng:    xrand.New(0xfa171 + uint64(id)),
 	}
 	w.fsolver, _ = w.solver.(retrieval.FailoverSolver)
 	for j := range w.slow {
@@ -188,7 +185,7 @@ func (w *worker) serveDeterministic(batch []Query) error {
 			// rule as sim.Simulator with a fault state, which keeps the
 			// two bit-identical under one schedule. The lock is held
 			// across solve and write-back, so mid-solve failures (and
-			// the retry path) cannot occur in this mode.
+			// the repair path) cannot occur in this mode.
 			s.advanceFault(s.clock)
 			w.mask.CopyFrom(s.health)
 			copy(w.slow, s.slow)
@@ -263,12 +260,8 @@ func (w *worker) serveConcurrent(batch []Query) error {
 		w.prob.Replicas = q.Replicas
 		var dropped, failovers int
 		if faultOn {
-			served, err := w.solveFaulty(q, now, &dropped, &failovers)
-			if err != nil {
+			if err := w.solveFaulty(q, now, &dropped, &failovers); err != nil {
 				return err
-			}
-			if !served {
-				continue // rejected after retry exhaustion, already recorded
 			}
 		} else {
 			if err := w.solver.SolveInto(&w.prob, &w.res); err != nil {
@@ -417,45 +410,40 @@ func (w *worker) solveMasked(dropped *int) error {
 }
 
 // solveFaulty is the online fault-mode solve: solve against the batch's
-// mask snapshot, then — if chaos moved meanwhile (epoch change) — repair
-// the schedule in place with the conserved-flow failover
-// (FailoverSolver.MarkFailed) for every scheduled disk that failed
-// mid-solve. Repairs are bounded retries with exponential backoff +
-// jitter; exhaustion rejects the query (recorded, served=false).
-func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int) (served bool, err error) {
+// mask snapshot, then — while chaos has moved since the snapshot (epoch
+// change) — re-snapshot and repair the schedule in place with the
+// conserved-flow failover (FailoverSolver.MarkFailed) for every scheduled
+// disk that failed mid-solve, until the schedule is current. The loop
+// needs no bound: a repaired disk is masked inside the solver and never
+// carries flow again in this solve, so each round that repairs anything
+// masks a disk no earlier round did, and there are at most as many
+// rounds as disks. A fault therefore never rejects a query.
+func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int) error {
 	s := w.srv
 	if err := w.solveMasked(dropped); err != nil {
-		return false, err
+		return err
 	}
 	w.countSolve()
-	if s.afterSolve != nil {
-		s.afterSolve(w, q)
-	}
-	for attempt := 0; ; {
+	for {
+		if s.afterSolve != nil {
+			s.afterSolve(w, q)
+		}
 		if s.faultEpoch.Load() == w.epoch {
-			break // no chaos since the snapshot: the schedule is current
+			return nil // no chaos since the snapshot: the schedule is current
 		}
 		w.refreshFault(now)
 		if w.findConflicts() == 0 {
-			break // chaos moved but missed this query's disks
+			return nil // chaos moved but missed this query's disks
 		}
-		if attempt >= s.opt.MaxRetries {
-			s.nRejected.Add(1)
-			w.record(Result{Seq: q.Seq, Worker: w.id, Rejected: true, Reason: RejectFaults, Latency: sinceSubmit(q)})
-			return false, nil
-		}
-		attempt++
 		s.nRetries.Add(1)
-		w.backoff(attempt)
 		for _, d := range w.conflicts {
 			*failovers++
 			s.nFailovers.Add(1)
 			if err := w.markFailed(d, dropped); err != nil {
-				return false, err
+				return err
 			}
 		}
 	}
-	return true, nil
 }
 
 // refreshFault re-snapshots the live health mask and slowdown factors,
@@ -498,19 +486,6 @@ func (w *worker) markFailed(d int, dropped *int) error {
 		return nil
 	}
 	return err
-}
-
-// backoff sleeps the exponential backoff with jitter before retry round
-// attempt (1-based).
-func (w *worker) backoff(attempt int) {
-	base := w.srv.opt.RetryBackoff
-	shift := uint(attempt - 1)
-	if shift > 6 {
-		shift = 6
-	}
-	d := base << shift
-	jitter := time.Duration(w.rng.Intn(int(base) + 1))
-	time.Sleep(d + jitter)
 }
 
 // rebuildProblem refreshes the worker's pinned Problem in place for one
