@@ -61,9 +61,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeSubmit -fuzztime=30s ./internal/httpd/
 
 ## audit: re-run the solver tests with the imflow_audit build tag, arming
-## the max-flow = min-cut certificate checks after every engine run.
+## the max-flow = min-cut certificate checks after every engine run and
+## the label check after every push-relabel Resume. sim is included: it
+## drives cold, warm and failover solves through pr-binary and is the
+## reference perfbench's replay is compared against.
 audit:
-	$(GO) test -tags imflow_audit ./internal/maxflow/... ./internal/retrieval/... ./internal/serve/... ./internal/integration/...
+	$(GO) test -tags imflow_audit ./internal/maxflow/... ./internal/retrieval/... ./internal/serve/... ./internal/sim/... ./internal/integration/...
 
 ## fault-stress: the fault-injection stress gate — seeded chaos schedules
 ## through the simulator and the concurrent server under the race

@@ -122,8 +122,8 @@ func (g *Graph) Compacted() bool { return g.frozen }
 // exactly Head/Next order, and engines traverse those contiguous ranges
 // instead of chasing the Next linked list through memory. Arc indices are
 // NOT remapped — Cap, Flow, To, and every arc id returned by AddEdge keep
-// their meaning — so flows, snapshots, and retuning by arc index survive
-// compaction unchanged. On a frozen graph Compact returns at once, which
+// their meaning — so flows and retuning by arc index survive compaction
+// unchanged. On a frozen graph Compact returns at once, which
 // is what lets every push-relabel Run call it unconditionally; adding an
 // edge or resizing thaws the graph, and the next Compact rebuilds the
 // index. Backing arrays are reused across calls, so re-compacting a
@@ -176,8 +176,8 @@ func (g *Graph) Push(a int, delta int64) {
 
 // SetCap updates the capacity of arc a. Lowering a capacity below the
 // current flow leaves the graph in a transiently infeasible state; the
-// retrieval algorithms only ever raise capacities (or restore a flow
-// snapshot taken at lower capacities), so this cannot happen there.
+// retrieval algorithms follow every such change with DrainExcess, which
+// cancels the overflowing flow.
 func (g *Graph) SetCap(a int, capacity int64) {
 	if capacity < 0 {
 		panic("flowgraph: negative capacity")
@@ -272,30 +272,6 @@ func (g *Graph) ZeroFlows() {
 	for i := range g.Flow {
 		g.Flow[i] = 0
 	}
-}
-
-// SnapshotFlows copies the current flow values into dst (reallocating if
-// needed) and returns it. Used by the binary-capacity-scaling algorithm's
-// StoreFlows.
-// Allocates only when dst needs growing; steady-state reuse is free.
-//
-//imflow:allocok
-func (g *Graph) SnapshotFlows(dst []int64) []int64 {
-	if cap(dst) < len(g.Flow) {
-		dst = make([]int64, len(g.Flow))
-	}
-	dst = dst[:len(g.Flow)]
-	copy(dst, g.Flow)
-	return dst
-}
-
-// RestoreFlows overwrites the current flows with a snapshot taken by
-// SnapshotFlows on the same graph.
-func (g *Graph) RestoreFlows(src []int64) {
-	if len(src) != len(g.Flow) {
-		panic("flowgraph: snapshot length mismatch")
-	}
-	copy(g.Flow, src)
 }
 
 // Outflow returns the net flow leaving vertex v: the flow value when v is

@@ -16,7 +16,7 @@ type outcome struct {
 	status     int           // HTTP status; 0 means the client is gone and no answer is writable
 	msg        string        // error detail for non-200s
 	retryAfter time.Duration // Retry-After hint for 429/503
-	transient  bool          // retrying the same request later may succeed
+	transient  bool          // retrying the same request later, here or elsewhere, may succeed
 	res        serve.Result  // valid when status is 200
 	shard      int           // shard that served it (200 only)
 	handedOff  bool          // slot ownership moved to a reaper goroutine
@@ -70,8 +70,10 @@ func (s *Server) overloadTriggered() bool {
 // the shard queue.
 func (s *Server) dispatch(rctx context.Context, qr QueryRequest, shard int) outcome {
 	if s.isDraining() {
+		// Admitted by beginRequest just before Shutdown flipped: the same
+		// answer the handlers give a request that arrives after it.
 		s.met.unavailable.Add(1)
-		return outcome{status: http.StatusServiceUnavailable, msg: "draining", retryAfter: time.Second}
+		return outcome{status: http.StatusServiceUnavailable, msg: "draining", retryAfter: time.Second, transient: true}
 	}
 	replicas, err := s.resolveReplicas(qr)
 	if err != nil {
@@ -169,7 +171,7 @@ func (s *Server) attempt(qctx context.Context, seq, shard int, replicas [][]int,
 		s.reap(seq)
 		s.met.unavailable.Add(1)
 		return outcome{status: http.StatusServiceUnavailable, msg: errServerStopped.Error(),
-			retryAfter: time.Second, handedOff: true}
+			retryAfter: time.Second, transient: true, handedOff: true}
 	}
 }
 
@@ -198,7 +200,8 @@ func (s *Server) interrupted(qctx context.Context) outcome {
 		return outcome{status: 0}
 	default:
 		s.met.unavailable.Add(1)
-		return outcome{status: http.StatusServiceUnavailable, msg: errServerStopped.Error(), retryAfter: time.Second}
+		return outcome{status: http.StatusServiceUnavailable, msg: errServerStopped.Error(),
+			retryAfter: time.Second, transient: true}
 	}
 }
 

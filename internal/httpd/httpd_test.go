@@ -262,6 +262,32 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	}
 }
 
+// TestDispatchDrainingIsTransient: a request that passed beginRequest just
+// before Shutdown flipped reaches dispatch after the flip. Its 503 must be
+// marked transient like the handlers' own "draining" answer, and so must
+// the "server stopped" answer to a wait the stop switch cut short.
+func TestDispatchDrainingIsTransient(t *testing.T) {
+	sys := storage.Uniform(2, 6, storage.Cheetah)
+	alloc := decluster.Orthogonal(grid.New(6))
+	s, err := New(sys, alloc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("clean shutdown returned %v", err)
+	}
+	o := s.dispatch(context.Background(), QueryRequest{Buckets: []int{3}}, 0)
+	if o.status != http.StatusServiceUnavailable || o.msg != "draining" || !o.transient || o.retryAfter <= 0 {
+		t.Fatalf("dispatch after Shutdown: %+v, want a transient 503 draining with Retry-After", o)
+	}
+	o = s.interrupted(context.Background())
+	if o.status != http.StatusServiceUnavailable || !o.transient || o.retryAfter <= 0 {
+		t.Fatalf("stopped wait: %+v, want a transient 503 with Retry-After", o)
+	}
+}
+
 func TestSubmitRateLimitGateAndBatchCharge(t *testing.T) {
 	s, hs := newFrontend(t, Options{RatePerSec: 0.001, RateBurst: 3})
 	hdr := map[string]string{"X-Client-ID": "batchy"}

@@ -18,3 +18,6 @@ func AuditFlow(g *flowgraph.Graph, s, t int) {}
 //
 //imflow:det
 func Audit(g *flowgraph.Graph, s, t int) {}
+
+// auditLabels is a no-op without the imflow_audit build tag.
+func auditLabels(pr *PushRelabel, s, t int) {}

@@ -31,3 +31,11 @@ func Audit(g *flowgraph.Graph, s, t int) {
 		panic("imflow_audit: " + err.Error())
 	}
 }
+
+// auditLabels verifies that the heights Resume repaired form a valid
+// labelling and panics otherwise.
+func auditLabels(pr *PushRelabel, s, t int) {
+	if err := pr.checkLabels(s, t); err != nil {
+		panic("imflow_audit: " + err.Error())
+	}
+}

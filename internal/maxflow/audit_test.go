@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"imflow/internal/flowgraph"
+	"imflow/internal/xrand"
 )
 
 // TestAuditEnabledUnderTag guards the CI invocation: building with
@@ -42,6 +43,48 @@ func TestAuditPanicsOnNonMaximalFlow(t *testing.T) {
 		}
 	}()
 	Audit(g, 0, 1)
+}
+
+// TestAuditPanicsOnInvalidLabels: Resume's label check must fire when a
+// height breaks h(u) <= h(v)+1 on a residual arc the repair does not
+// touch. After a Run with nothing changed, a routed bucket is no repair
+// seed, so lifting it two above an unused replica's disk must survive
+// the repair and trip the audit.
+func TestAuditPanicsOnInvalidLabels(t *testing.T) {
+	rng := xrand.New(5)
+	g, s, snk := bipartiteRetrievalGraph(rng, 30, 4, 30) // every bucket routed
+	pr := NewPushRelabel(g)
+	pr.Run(s, snk)
+	corrupted := false
+	for a := 0; a < g.M() && !corrupted; a += 2 {
+		u, v := g.To[a^1], g.To[a]
+		if int(u) == s || int(v) == snk || g.Residual(a) == 0 || g.Outflow(int(u)) != 0 || g.FlowValue(s) == 0 {
+			continue
+		}
+		routed := false
+		for b := g.Head[u]; b >= 0; b = g.Next[b] {
+			if int(g.To[b]) == s && g.Flow[b] < 0 {
+				routed = true
+			}
+		}
+		if routed {
+			pr.height[u] = pr.height[v] + 2
+			corrupted = true
+		}
+	}
+	if !corrupted {
+		t.Fatal("no routed bucket with a residual arc to corrupt")
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Resume did not panic on an invalid labelling")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "imflow_audit:") {
+			t.Fatalf("unexpected panic value %v", r)
+		}
+	}()
+	pr.Resume(s, snk)
 }
 
 func TestAuditAcceptsMaximalFlow(t *testing.T) {

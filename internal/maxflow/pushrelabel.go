@@ -10,10 +10,9 @@ import (
 // two practical heuristics recommended by Cherkassky & Goldberg and used by
 // the paper's implementation:
 //
-//   - exact height initialization ("global relabeling"): heights start as
-//     exact residual BFS distances to the sink and are recomputed
-//     periodically, instead of the all-zero initialization of the
-//     textbook algorithm;
+//   - exact height initialization ("global relabeling"): Run starts from
+//     exact residual BFS distances to the sink, recomputed periodically,
+//     instead of the all-zero initialization of the textbook algorithm;
 //   - gap relabeling: when some height below n becomes unoccupied, every
 //     vertex stranded above the gap is lifted past n at once, since it can
 //     no longer reach the sink.
@@ -23,6 +22,9 @@ import (
 // active vertex remains. Excess that cannot reach the sink drains back to
 // the source, so the final state is always a feasible maximum flow — which
 // is exactly what the integrated algorithms need between capacity updates.
+// The engine keeps the heights its last run ended with; Resume starts the
+// next run from them, repairing only the labels the capacity changes
+// invalidated, instead of recomputing them all.
 type PushRelabel struct {
 	g *flowgraph.Graph
 
@@ -32,7 +34,8 @@ type PushRelabel struct {
 	queue   []int32
 	inQueue []bool
 	hcount  []int32 // number of vertices at each height, for the gap heuristic
-	bfsq    []int32 // scratch queue for globalRelabel, reused across runs
+	bfsq    []int32 // scratch queue for globalRelabel and repair, reused across runs
+	labeled bool    // height holds the labelling the last run ended with
 
 	// GlobalRelabelInterval is the number of relabel operations between
 	// exact-height recomputations; 0 restores the default (the vertex
@@ -62,13 +65,15 @@ func (pr *PushRelabel) Name() string { return "push-relabel-fifo" }
 func (pr *PushRelabel) Metrics() *Metrics { return &pr.metrics }
 
 // Reset implements Engine: re-sync scratch with the (possibly rebuilt)
-// graph. Run re-derives all per-run state, so only sizing matters here.
+// graph and drop the heights the last run left, so the next Resume falls
+// back to a full global relabel.
 // Amortized: (re)sizes engine-owned scratch that is reused across solves.
 //
 //imflow:allocok
 func (pr *PushRelabel) Reset() {
 	pr.ensureSize(pr.g.N)
 	pr.queue = pr.queue[:0]
+	pr.labeled = false
 }
 
 // Run augments the current flow to a maximum s-t flow and returns its
@@ -79,6 +84,53 @@ func (pr *PushRelabel) Reset() {
 //imflow:allocok
 //imflow:det
 func (pr *PushRelabel) Run(s, t int) int64 {
+	pr.saturate(s)
+	pr.globalRelabel(s, t)
+	return pr.runFIFO(s, t)
+}
+
+// Resume is Run without the opening global relabel: it starts from the
+// heights the engine's last run on this graph ended with and repairs only
+// those the changes since then invalidated. It is exactly Run after Reset,
+// before any run, and when saturating the source arcs adds more flow than
+// the graph kept: the drain then cancelled most of the flow the old
+// heights were shaped by, and exact heights route the new flow with fewer
+// pushes and relabels than repaired ones. (Measured on backlogged disks,
+// where a probe opens or closes most disks at once.)
+//
+// The repair covers only the changes the retrieval solvers make between
+// runs, so Resume requires all of:
+//   - every s-t path of the graph has at most three arcs;
+//   - since the last run, the flow has only lost whole s-t paths
+//     (flowgraph.DrainExcess, or cancelling a unit path by hand);
+//   - capacities have changed only on arcs into t, either way, and on
+//     arcs out of s, upward only. (A lowered source arc can drain a path
+//     whose first vertex then takes no excess, so nothing would mark
+//     that vertex for repair.)
+//
+// Under the imflow_audit build tag Resume checks that the repaired heights
+// are a valid labelling and panics otherwise, so a caller that breaks the
+// precondition fails loudly instead of getting a non-maximum flow.
+// Per-solve scratch is engine-owned and amortized across reuse.
+//
+//imflow:allocok
+//imflow:det
+func (pr *PushRelabel) Resume(s, t int) int64 {
+	kept, added := pr.saturate(s)
+	if pr.labeled && added <= kept {
+		pr.repair(s, t)
+		auditLabels(pr, s, t)
+	} else {
+		pr.globalRelabel(s, t)
+	}
+	return pr.runFIFO(s, t)
+}
+
+// saturate compacts the graph, clears the per-run state, and saturates
+// the residual source arcs: the current flow plus these pushes is a
+// preflow whose excesses sit at the source's neighbors. It returns the
+// flow the source arcs already carried and the excess it added.
+func (pr *PushRelabel) saturate(s int) (kept, added int64) {
 	g := pr.g
 	g.Compact()
 	n := g.N
@@ -88,18 +140,24 @@ func (pr *PushRelabel) Run(s, t int) int64 {
 		pr.inQueue[i] = false
 	}
 	pr.queue = pr.queue[:0]
-
-	// Saturate residual source arcs: the current flow plus these pushes is
-	// a preflow whose excesses sit at the source's neighbors.
 	for _, a := range g.ArcIdx[g.Start[s]:g.Start[s+1]] {
+		kept += g.Flow[a]
 		if delta := g.Residual(int(a)); delta > 0 {
 			g.Push(int(a), delta)
 			pr.excess[g.To[a]] += delta
+			added += delta
 			pr.metrics.Pushes++
 		}
 	}
-	pr.globalRelabel(s, t)
+	return kept, added
+}
 
+// runFIFO discharges active vertices in FIFO order from the saturated
+// preflow and valid heights until none remains, and returns the flow
+// value.
+func (pr *PushRelabel) runFIFO(s, t int) int64 {
+	g := pr.g
+	n := g.N
 	interval := pr.GlobalRelabelInterval
 	if interval == 0 {
 		interval = n
@@ -130,7 +188,115 @@ func (pr *PushRelabel) Run(s, t int) int64 {
 			}
 		}
 	}
+	pr.labeled = true
 	return inflow(g, t)
+}
+
+// repair makes the heights the last run left a valid labelling again
+// (h(u) <= h(v)+1 on every residual arc u->v) after the changes Resume's
+// precondition allows. Those changes open residual arcs only on drained
+// s-t paths and on arcs into t, so only three kinds of vertex can need
+// lower heights:
+//  1. a vertex that took excess from s: its drained path left it new
+//     residual arcs, so it is lowered to one above its lowest residual
+//     neighbor (the arc back to s caps it at n+1);
+//  2. the tail of an arc into t with residual capacity, lowered to 1;
+//  3. a vertex with a residual arc into a vertex lowered by 1, 2 or 3,
+//     found by a backward BFS from the lowered vertices, and lowered to
+//     one above it.
+//
+// Heights only fall, so every arc that was valid stays valid except those
+// into lowered vertices, which the BFS walks. The same three kinds of
+// vertex are the only ones that can have gained an admissible arc, so
+// only their current arcs are reset, and the height counts are kept
+// up to date as vertices are lowered: the repair scans the arcs at s and
+// t and what it lowers, not every vertex.
+func (pr *PushRelabel) repair(s, t int) {
+	g := pr.g
+	q := pr.bfsq[:0]
+	for _, a := range g.ArcIdx[g.Start[s]:g.Start[s+1]] {
+		v := g.To[a]
+		if int(v) == s || int(v) == t || pr.excess[v] == 0 {
+			continue
+		}
+		pr.curArc[v] = g.Start[v]
+		minH := pr.height[v] - 1
+		for _, b := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
+			pr.metrics.ArcScans++
+			if g.Residual(int(b)) > 0 {
+				if h := pr.height[g.To[b]]; h < minH {
+					minH = h
+				}
+			}
+		}
+		if minH+1 < pr.height[v] {
+			pr.lower(v, minH+1)
+			q = append(q, v)
+		}
+	}
+	for _, a := range g.ArcIdx[g.Start[t]:g.Start[t+1]] {
+		pr.metrics.ArcScans++
+		u := g.To[a]
+		if int(u) == s || g.Residual(int(a)^1) == 0 {
+			continue
+		}
+		pr.curArc[u] = g.Start[u]
+		if pr.height[u] > 1 {
+			pr.lower(u, 1)
+			q = append(q, u)
+		}
+	}
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		hv := pr.height[v]
+		for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
+			pr.metrics.ArcScans++
+			u := g.To[a]
+			// residual arc u->v exists iff the dual arc has capacity left
+			if int(u) == s || int(u) == t || g.Residual(int(a)^1) == 0 || pr.height[u] <= hv {
+				continue
+			}
+			pr.curArc[u] = g.Start[u] // u->v may have become admissible
+			if pr.height[u] > hv+1 {
+				pr.lower(u, hv+1)
+				q = append(q, u)
+			}
+		}
+	}
+	pr.bfsq = q
+}
+
+// lower moves v down to height h, keeping the height counts current.
+func (pr *PushRelabel) lower(v, h int32) {
+	pr.hcount[pr.height[v]]--
+	pr.height[v] = h
+	pr.hcount[h]++
+	pr.curArc[v] = pr.g.Start[v]
+}
+
+// checkLabels reports the first way the heights fail to be a valid
+// labelling of the residual graph: h(s) = n, h(t) = 0, and h(u) <= h(v)+1
+// on every residual arc u->v. Resume's audit hook calls it after the
+// repair.
+func (pr *PushRelabel) checkLabels(s, t int) error {
+	g := pr.g
+	if h := pr.height[s]; int(h) != g.N {
+		return fmt.Errorf("push-relabel: source height %d, want %d", h, g.N)
+	}
+	if h := pr.height[t]; h != 0 {
+		return fmt.Errorf("push-relabel: sink height %d, want 0", h)
+	}
+	for a := 0; a < g.M(); a++ {
+		if g.Residual(a) <= 0 {
+			continue
+		}
+		u, v := g.To[a^1], g.To[a]
+		if pr.height[u] > pr.height[v]+1 {
+			return fmt.Errorf("push-relabel: residual arc %d (%d->%d) spans heights %d -> %d",
+				a, u, v, pr.height[u], pr.height[v])
+		}
+	}
+	return nil
 }
 
 // discharge pushes v's excess to admissible neighbors; if none remain it
@@ -270,6 +436,7 @@ func (pr *PushRelabel) ensureSize(n int) {
 	if len(pr.height) >= n {
 		return
 	}
+	pr.labeled = false
 	pr.height = make([]int32, n)
 	pr.excess = make([]int64, n)
 	pr.curArc = make([]int32, n)

@@ -114,10 +114,13 @@ func (s *PRIncremental) solveMasked(p *Problem, mask *DiskMask, res *Result) err
 // PRBinary is Algorithm 6: the integrated push-relabel solver with binary
 // capacity scaling. A binary search over candidate response times
 // [tmin, tmax) brings the capacities within N increments of the optimum in
-// O(log |Q|) max-flow runs; flows computed at infeasible midpoints are
-// stored and conserved (they remain valid when capacities grow), while
-// flows computed at feasible midpoints are rolled back (the optimum may be
-// lower). The final stretch runs Algorithm 5 from tmin's capacities.
+// O(log |Q|) max-flow runs; the final stretch runs Algorithm 5 from tmin's
+// capacities. Every run starts from the flow the previous run left,
+// drained to the new capacities (flowgraph.DrainExcess), and, when the
+// engine is a resumer, from the heights that run left. The paper's rule
+// instead rolls the flow back to the last infeasible probe's after every
+// feasible one; both rules reach the same bracket and optimum, since a
+// probe's feasibility depends only on its capacities.
 //
 // With Conserve = false every max-flow run starts from the zero flow — the
 // black-box algorithm of the paper's reference [12], kept as the baseline
@@ -128,9 +131,16 @@ type PRBinary struct {
 	conserve bool
 	net      network
 	engine   maxflow.Engine
+	resume   resumer // engine's Resume, when it has one and conserve is on
 	st       incrementState
-	saved    []int64
 	mask     DiskMask // scratch for MarkFailed's fresh-solve fallback
+}
+
+// resumer is an engine that can start a run from the heights its previous
+// run on the same graph ended with (maxflow.PushRelabel.Resume), instead
+// of recomputing them.
+type resumer interface {
+	Resume(s, t int) int64
 }
 
 // NewPRBinary returns the integrated Algorithm 6 solver (sequential
@@ -201,20 +211,17 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 		return err
 	}
 	net := &s.net
-	// A conserving warm start carries the previous query's maximal flow
-	// into this solve: instead of the cold path's snapshot/rollback dance,
-	// every capacity probe drains the carried flow to the probe's
-	// capacities (DrainExcess) and augments the difference. Probe
-	// feasibility depends only on the capacities, so the bracket
-	// trajectory and every counter stay bit-identical to a cold solve.
-	// The black-box baseline zeroes flows before every run either way, so
-	// its warm start only skips the rebuild.
+	// A warm start only skips the rebuild: every run below drains (or, in
+	// the black box, zeroes) whatever flow the graph carries, the previous
+	// query's included.
 	warm := net.prepare(p, mask)
-	if warm && !s.conserve {
-		net.g.ZeroFlows()
-	}
 	if s.engine == nil {
 		s.engine = s.factory(net.g)
+		// Asserted once here, not per run: a type assertion's runtime
+		// cache may allocate the first times it meets a type.
+		if s.conserve {
+			s.resume, _ = s.engine.(resumer)
+		}
 	} else {
 		s.engine.Reset()
 	}
@@ -258,9 +265,6 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 		tmin = 0
 	}
 
-	if s.conserve && !warm {
-		s.saved = net.g.SnapshotFlows(s.saved) // all-zero snapshot
-	}
 	// The paper loops while (tmax - tmin) >= minSpeed over reals; with
 	// integer microseconds that admits a no-progress iteration when the
 	// bracket narrows to exactly minSpeed = 1us (tmid == tmin), so the
@@ -269,73 +273,55 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 	for cost.SatSub(tmax, tmin) > minSpeed {
 		tmid := cost.SatAdd(tmin, cost.SatSub(tmax, tmin)/2)
 		net.capsForTime(tmid)
-		if s.conserve {
-			if warm {
-				// Warm conservation: drain the carried flow down to this
-				// probe's capacities and let the engine augment the rest.
-				net.g.DrainExcess(net.s, net.t)
-			}
-		} else {
-			net.g.ZeroFlows()
-		}
-		flow := engine.Run(net.s, net.t)
+		flow := s.run()
 		res.Stats.MaxflowRuns++
 		res.Stats.BinarySteps++
-		maxflow.Audit(net.g, net.s, net.t)
 		if flow != target {
-			// Infeasible: keep (store) these flows — they stay valid at
-			// every larger capacity setting — and raise the floor.
-			if s.conserve && !warm {
-				s.saved = net.g.SnapshotFlows(s.saved)
-			}
-			tmin = tmid
+			tmin = tmid // infeasible: raise the floor
 		} else {
-			// Feasible: the optimum may be lower, so roll back to the last
-			// infeasible flow state and lower the ceiling. On the warm path
-			// the next probe's DrainExcess performs the equivalent cut-down
-			// in place, so there is nothing to restore.
-			if s.conserve && !warm {
-				net.g.RestoreFlows(s.saved)
-			}
-			tmax = tmid
+			tmax = tmid // feasible: the optimum may be lower
 		}
 	}
 
 	// Final stretch: Algorithm 5 from tmin's capacities. At most N more
 	// increments separate tmin from the optimum.
-	if s.conserve {
-		if !warm {
-			net.g.RestoreFlows(s.saved)
-		}
-	} else {
-		net.g.ZeroFlows()
-	}
 	net.capsForTime(tmin)
-	if s.conserve && warm {
-		net.g.DrainExcess(net.s, net.t)
-	}
 	s.st.reset(net)
-	if !s.conserve {
-		net.g.ZeroFlows()
-	}
-	flow := engine.Run(net.s, net.t)
+	flow := s.run()
 	res.Stats.MaxflowRuns++
-	maxflow.Audit(net.g, net.s, net.t)
 	for flow < target {
 		if s.st.incrementMinCost(net) == cost.Max {
 			//lint:ignore noalloc cold failure exit; aborts the solve, never the steady state
 			return fmt.Errorf("retrieval: flow %d short of %d with all disk edges saturated: %w", flow, target, ErrInfeasible)
 		}
 		res.Stats.Increments++
-		if !s.conserve {
-			net.g.ZeroFlows()
-		}
-		flow = engine.Run(net.s, net.t)
+		flow = s.run()
 		res.Stats.MaxflowRuns++
-		maxflow.Audit(net.g, net.s, net.t)
 	}
 	res.Stats.Flow = *engine.Metrics()
 	return net.finishDegraded(res)
+}
+
+// run is one max-flow run at the capacities just set, audited. The
+// conserving rule drains the flow the previous run left down to those
+// capacities and augments it, resuming from that run's heights when the
+// engine is a resumer; the black box starts from the zero flow.
+func (s *PRBinary) run() int64 {
+	net := &s.net
+	var flow int64
+	switch {
+	case !s.conserve:
+		net.g.ZeroFlows()
+		flow = s.engine.Run(net.s, net.t)
+	case s.resume != nil:
+		net.g.DrainExcess(net.s, net.t)
+		flow = s.resume.Resume(net.s, net.t)
+	default:
+		net.g.DrainExcess(net.s, net.t)
+		flow = s.engine.Run(net.s, net.t)
+	}
+	maxflow.Audit(net.g, net.s, net.t)
+	return flow
 }
 
 // minSingleBlock returns the fastest possible single-block completion time

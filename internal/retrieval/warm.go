@@ -1,5 +1,5 @@
 // Cross-query warm starts: reuse the built network (and, for the
-// conserving binary solver, the computed flow) when consecutive solves
+// conserving binary solver, the flow it carries) when consecutive solves
 // share everything but the disk loads X_j.
 //
 // Consecutive queries on a shard typically hit the same bucket set over
@@ -13,14 +13,17 @@
 //
 // What each solver family conserves on a warm start:
 //
-//   - PRBinary with conservation: the previous query's maximal flow. Its
-//     snapshot/rollback dance is replaced by flowgraph.DrainExcess — at
-//     every capacity probe the carried flow is drained to the new
-//     capacities (whole-path cancellation, mirroring the failover repair)
-//     and the engine augments only the difference. The feasibility of
-//     each probe is a property of the capacities alone (the max-flow
-//     value is unique), so the bracket trajectory, the step counters, and
-//     the final response time are bit-identical to a cold solve.
+//   - PRBinary with conservation: the previous query's maximal flow. The
+//     warm start has no rule of its own: every conserving solve drains
+//     the flow the graph carries down to each run's capacities
+//     (flowgraph.DrainExcess, whole-path cancellation mirroring the
+//     failover repair) and the engine augments only the difference, so a
+//     warm solve merely starts from the previous query's flow where a
+//     cold one starts from zero. The feasibility of each probe is a
+//     property of the capacities alone (the max-flow value is unique), so
+//     the bracket trajectory, the step counters, and the final response
+//     time are bit-identical to a cold solve. The engine's heights are
+//     not carried: Reset drops them at the start of every solve.
 //   - The incremental walk solvers (FFIncremental, PRIncremental) and
 //     FFBasic: the build only. Their walk must start from zero
 //     capacities — the bracket floor usable as a warm threshold sits
