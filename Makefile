@@ -74,9 +74,9 @@ audit:
 ## failover re-solve carries a max-flow certificate.
 fault-stress:
 	$(GO) test -race -count=3 ./internal/fault/
-	$(GO) test -race -count=3 -run 'Chaos|Failover|Fault|Drain|Deadline|PartialServe|Warm|Compact' ./internal/sim/ ./internal/serve/ ./internal/retrieval/ ./internal/maxflow/...
+	$(GO) test -race -count=3 -run 'Chaos|Failover|MarkFailed|Fault|Drain|Deadline|PartialServe|Warm|Compact' ./internal/sim/ ./internal/serve/ ./internal/retrieval/ ./internal/maxflow/...
 	$(GO) test -race -count=3 -run 'Cancel|Disconnect|Shutdown|Shed|Stress|Deadline' ./internal/httpd/ ./internal/serve/
-	$(GO) test -tags imflow_audit -run 'Chaos|Failover|Fault|PartialServe|Warm|Compact' ./internal/sim/ ./internal/serve/ ./internal/integration/ ./internal/retrieval/ ./internal/maxflow/...
+	$(GO) test -tags imflow_audit -run 'Chaos|Failover|MarkFailed|Fault|PartialServe|Warm|Compact' ./internal/sim/ ./internal/serve/ ./internal/integration/ ./internal/retrieval/ ./internal/maxflow/...
 
 ## bench: regenerate BENCH_retrieval.json — the steady-state integrated
 ## solve loop (ns/op, allocs/op, work counters) across every engine on the

@@ -1,8 +1,10 @@
 // Command imflow-bench runs the reproducible steady-state retrieval
 // benchmark: paper-scale experiment cells solved by every max-flow engine
 // through the integrated algorithms, with per-op wall time, allocation
-// counts, and elementary work counters, plus conserved failover repair
-// timed against a fresh masked solve, written as BENCH_retrieval.json.
+// counts, and elementary work counters, plus in-place failover repair
+// (MarkFailed: mask the disk, re-run the search from the flow the solver
+// holds) timed against a fresh masked solve, written as
+// BENCH_retrieval.json.
 //
 // Usage:
 //

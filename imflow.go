@@ -64,7 +64,8 @@ type (
 	DiskMask = retrieval.DiskMask
 	// FailoverSolver is a solver that handles disk failures: degraded
 	// (masked) solves with partial retrieval, and in-place MarkFailed
-	// failover that conserves all flow not routed through the failed disk.
+	// failover that masks the disk in the solver's network and searches
+	// again from the flow the last solve left.
 	FailoverSolver = retrieval.FailoverSolver
 	// InfeasibleError names the buckets a degraded solve had to drop
 	// because every replica was on a failed disk.

@@ -104,10 +104,10 @@ const failoverDepth = 2
 
 // FailoverRecord times conserved failover against a fresh solve. With
 // FailedDisks-1 disks already failed and repaired, the busiest live disk
-// fails next: the conserved solver repairs its flow in place (MarkFailed)
-// and a second solver solves the same mask from scratch (SolveMaskedInto).
-// RepairFreshRatio is RepairNsPerOp over FreshNsPerOp, so a ratio below 1
-// means conserving the flow pays.
+// fails next: the conserved solver masks it in place and searches again
+// from the flow it holds (MarkFailed), and a second solver solves the same
+// mask from scratch (SolveMaskedInto). RepairFreshRatio is RepairNsPerOp
+// over FreshNsPerOp, so a ratio below 1 means conserving the flow pays.
 type FailoverRecord struct {
 	Cell             string  `json:"cell"`
 	N                int     `json:"n"`
@@ -269,8 +269,9 @@ func stranded(err error) (bool, error) {
 }
 
 // measureFailover fails, per problem, the busiest live disk failoverDepth
-// times in a row. Each failure is timed twice: as one in-place repair of
-// the conserved solver, and as one fresh masked solve at the same mask.
+// times in a row. Each failure is timed twice: as one MarkFailed of the
+// conserved solver, which re-runs Algorithm 6 from the flow its last solve
+// or repair left, and as one fresh masked solve at the same mask.
 // Even problems run the repair first and odd ones the fresh solve, so
 // neither side always inherits the other's cache state. The two must agree
 // on response time and on whether buckets were stranded. One untimed pass

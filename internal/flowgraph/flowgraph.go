@@ -189,11 +189,11 @@ func (g *Graph) SetCap(a int, capacity int64) {
 // below the current flow: every arc whose flow exceeds its capacity has
 // whole flow paths through it cancelled — the excess units are traced back
 // toward s along flow-carrying arcs and forward toward t — until the arc
-// fits again, so conservation holds at every vertex afterward. This is the
-// cross-query warm-start repair: the conserved flow of the previous solve,
-// drained to the new (possibly lower) capacities, is a feasible flow of
-// the new network the engines can augment from, exactly as the failover
-// path's whole-path cancellation feeds the conserved resume.
+// fits again, so conservation holds at every vertex afterward. This is how
+// the integrated retrieval solver carries flow from run to run, across
+// queries and across disk failures: the conserved flow of the previous
+// run, drained to the new (possibly lower) capacities, is a feasible flow
+// of the new network the engines can augment from.
 //
 // The current flow must be feasible apart from the overfull arcs and
 // decomposable into simple s-t paths (no flow cycles) — true for every

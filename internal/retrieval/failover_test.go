@@ -212,9 +212,9 @@ func TestPropertySolveMaskedMatchesOracle(t *testing.T) {
 
 // TestPropertyMarkFailedMatchesFreshMaskedSolve is the failover headline
 // invariant: solving, then failing disks one at a time with MarkFailed
-// (conserving all surviving flow), lands on exactly the response time of a
-// fresh solve of the masked problem — for every engine, including the
-// stranded-bucket fallback path.
+// (searching again on the solver's own network), lands on exactly the
+// response time of a fresh solve of the masked problem — for every
+// engine, including failures that strand buckets.
 func TestPropertyMarkFailedMatchesFreshMaskedSolve(t *testing.T) {
 	check := func(seed uint64) bool {
 		p := problemFromSeed(seed, seed%4 == 0)
@@ -406,8 +406,9 @@ func TestMarkFailedAllReplicasDown(t *testing.T) {
 }
 
 // TestRecoveryRequiresFreshSolve documents the recovery contract: a
-// recovered disk re-enters through a fresh masked solve (conserved state
-// cannot lower capacities), which must land back on the original optimum.
+// recovered disk re-enters through a fresh masked solve (MarkFailed only
+// ever adds failures to the network a solver holds), which must land back
+// on the original optimum.
 func TestRecoveryRequiresFreshSolve(t *testing.T) {
 	p := problemFromSeed(1234, false)
 	mask := NewDiskMask(len(p.Disks))
@@ -433,15 +434,15 @@ func TestRecoveryRequiresFreshSolve(t *testing.T) {
 	}
 }
 
-// TestMarkFailedSteadyStateAllocs gates the conserved failover path the
-// same way SolveInto is gated: once buffers have converged, a solve
-// followed by a flow-conserving MarkFailed performs no heap allocations.
+// TestMarkFailedSteadyStateAllocs gates the failover path the same way
+// SolveInto is gated: once buffers have converged, a solve followed by a
+// MarkFailed performs no heap allocations, and neither does a degraded
+// solve followed by a MarkFailed that strands a bucket.
 func TestMarkFailedSteadyStateAllocs(t *testing.T) {
 	if maxflow.AuditEnabled {
 		t.Skip("imflow_audit builds allocate in the audit hooks")
 	}
-	// Every bucket keeps a live replica after disk 0 fails, so the
-	// conserved path (not the fresh-solve fallback) is exercised.
+	// Every bucket keeps a live replica after disk 0 fails.
 	p := &Problem{
 		Disks:    []DiskParams{{Service: 1000}, {Service: 1100}, {Service: 900}},
 		Replicas: [][]int{{0, 1}, {0, 2}, {1, 2}, {0, 1}, {2, 0}},
@@ -470,6 +471,42 @@ func TestMarkFailedSteadyStateAllocs(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("%s: %v allocs per steady-state solve+failover, want 0", fs.name, avg)
+		}
+	}
+
+	// Degraded: disk 1 is down, so bucket 1 is dropped from the start, and
+	// failing disk 0 strands bucket 0 too. Both calls report their dead
+	// buckets through an *InfeasibleError.
+	degraded := &Problem{
+		Disks:    []DiskParams{{Service: 1000}, {Service: 1100}, {Service: 900}, {Service: 1300}},
+		Replicas: [][]int{{0, 1}, {1}, {0, 2}, {2, 3}, {3, 0}},
+	}
+	mask := NewDiskMask(len(degraded.Disks))
+	mask.MarkFailed(1)
+	for _, fs := range failoverSolvers {
+		if fs.name == "pr-binary-parallel" {
+			continue // the parallel engine allocates per run by design
+		}
+		s := fs.mk()
+		res := &Result{}
+		for i := 0; i < 2; i++ {
+			if err := s.SolveMaskedInto(degraded, mask, res); !checkDegraded(t, fs.name+"/degraded", degraded, res, err, []int{1}) {
+				t.Fatalf("%s: warm-up degraded solve", fs.name)
+			}
+			if err := s.MarkFailed(0, res); !checkDegraded(t, fs.name+"/stranding", degraded, res, err, []int{0, 1}) {
+				t.Fatalf("%s: warm-up stranding failover", fs.name)
+			}
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			if err := s.SolveMaskedInto(degraded, mask, res); !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("%s: degraded solve: %v", fs.name, err)
+			}
+			if err := s.MarkFailed(0, res); !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("%s: stranding failover: %v", fs.name, err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s: %v allocs per steady-state degraded solve+stranding failover, want 0", fs.name, avg)
 		}
 	}
 }

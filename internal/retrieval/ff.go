@@ -107,10 +107,9 @@ func (s *FFBasic) SolveInto(p *Problem, res *Result) error {
 // incremented (Algorithm 3). The flow found for earlier buckets is
 // conserved throughout — the DFS works on the same residual graph.
 type FFIncremental struct {
-	net  network
-	ff   *maxflow.FordFulkerson
-	st   incrementState
-	mask DiskMask // scratch for MarkFailed's fresh-solve fallback
+	net network
+	ff  *maxflow.FordFulkerson
+	st  incrementState
 }
 
 // NewFFIncremental returns the Algorithm 2 solver.
@@ -132,26 +131,39 @@ func (s *FFIncremental) Solve(p *Problem) (*Result, error) {
 //
 //imflow:det
 func (s *FFIncremental) SolveInto(p *Problem, res *Result) error {
-	return s.solveMasked(p, nil, res)
+	return s.SolveMaskedInto(p, nil, res)
 }
 
-// solveMasked is the shared body of SolveInto (nil mask) and
-// SolveMaskedInto. The noalloc analyzer holds it to zero steady-state
-// allocations.
+// SolveMaskedInto implements FailoverSolver: it prepares the network for
+// p under mask (rebuilt, or reused on a warm start) and runs the search.
+// The noalloc analyzer holds it to zero steady-state allocations.
 //
 //imflow:noalloc
-func (s *FFIncremental) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
+func (s *FFIncremental) SolveMaskedInto(p *Problem, mask *DiskMask, res *Result) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	net := &s.net
-	// A warm start reuses the previous build; the bucket-at-a-time walk
-	// must still begin from zero flow and zero capacities (see warm.go),
-	// so only the rebuild itself is skipped.
-	warm := net.prepare(p, mask)
-	if warm {
-		net.resetRun()
+	warm := s.net.prepare(p, mask)
+	return s.search(res, warm)
+}
+
+// MarkFailed implements FailoverSolver: mask the disk and walk again.
+func (s *FFIncremental) MarkFailed(disk int, res *Result) error {
+	if err := s.net.maskDisk(disk); err != nil {
+		return err
 	}
+	return s.search(res, false)
+}
+
+// search is the bucket-at-a-time walk both entry points run. It starts
+// from zero flow and zero capacities (resetRun): the walk has no earlier
+// state to resume from (see warm.go), so a reused network keeps only its
+// build.
+//
+//imflow:noalloc
+func (s *FFIncremental) search(res *Result, warm bool) error {
+	net := &s.net
+	net.resetRun()
 	g := net.g
 	if s.ff == nil {
 		s.ff = maxflow.NewFordFulkerson(g)

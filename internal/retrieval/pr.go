@@ -41,7 +41,6 @@ type PRIncremental struct {
 	net     network
 	engine  maxflow.Engine
 	st      incrementState
-	mask    DiskMask // scratch for MarkFailed's fresh-solve fallback
 }
 
 // NewPRIncremental returns the Algorithm 5 solver with the sequential
@@ -66,26 +65,38 @@ func (s *PRIncremental) Solve(p *Problem) (*Result, error) {
 //
 //imflow:det
 func (s *PRIncremental) SolveInto(p *Problem, res *Result) error {
-	return s.solveMasked(p, nil, res)
+	return s.SolveMaskedInto(p, nil, res)
 }
 
-// solveMasked is the shared body of SolveInto (nil mask) and
-// SolveMaskedInto. The noalloc analyzer holds it to zero steady-state
-// allocations.
+// SolveMaskedInto implements FailoverSolver: it prepares the network for
+// p under mask (rebuilt, or reused on a warm start) and runs the search.
+// The noalloc analyzer holds it to zero steady-state allocations.
 //
 //imflow:noalloc
-func (s *PRIncremental) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
+func (s *PRIncremental) SolveMaskedInto(p *Problem, mask *DiskMask, res *Result) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	net := &s.net
-	// A warm start reuses the previous build; the threshold walk must
-	// still begin from zero flow and zero capacities (see warm.go), so
-	// only the rebuild itself is skipped.
-	warm := net.prepare(p, mask)
-	if warm {
-		net.resetRun()
+	warm := s.net.prepare(p, mask)
+	return s.search(res, warm)
+}
+
+// MarkFailed implements FailoverSolver: mask the disk and walk again.
+func (s *PRIncremental) MarkFailed(disk int, res *Result) error {
+	if err := s.net.maskDisk(disk); err != nil {
+		return err
 	}
+	return s.search(res, false)
+}
+
+// search is the threshold walk both entry points run. It starts from zero
+// flow and zero capacities (resetRun): the walk has no earlier state to
+// resume from (see warm.go), so a reused network keeps only its build.
+//
+//imflow:noalloc
+func (s *PRIncremental) search(res *Result, warm bool) error {
+	net := &s.net
+	net.resetRun()
 	if s.engine == nil {
 		s.engine = s.factory(net.g)
 	} else {
@@ -133,7 +144,6 @@ type PRBinary struct {
 	engine   maxflow.Engine
 	resume   resumer // engine's Resume, when it has one and conserve is on
 	st       incrementState
-	mask     DiskMask // scratch for MarkFailed's fresh-solve fallback
 }
 
 // resumer is an engine that can start a run from the heights its previous
@@ -198,23 +208,42 @@ func (s *PRBinary) Solve(p *Problem) (*Result, error) {
 //
 //imflow:det
 func (s *PRBinary) SolveInto(p *Problem, res *Result) error {
-	return s.solveMasked(p, nil, res)
+	return s.SolveMaskedInto(p, nil, res)
 }
 
-// solveMasked is the shared body of SolveInto (nil mask) and
-// SolveMaskedInto. The noalloc analyzer holds it to zero steady-state
-// allocations.
+// SolveMaskedInto implements FailoverSolver: it prepares the network for
+// p under mask (rebuilt, or reused on a warm start) and runs the search.
+// The noalloc analyzer holds it to zero steady-state allocations.
 //
 //imflow:noalloc
-func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
+func (s *PRBinary) SolveMaskedInto(p *Problem, mask *DiskMask, res *Result) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
+	warm := s.net.prepare(p, mask)
+	return s.search(res, warm)
+}
+
+// MarkFailed implements FailoverSolver: mask the disk in the network the
+// solver holds and search again. The conserving search starts from the
+// flow the last solve left, so its first run's drain cancels the failed
+// disk's flow and keeps the rest. The black box zeroes the flow at every
+// run either way.
+func (s *PRBinary) MarkFailed(disk int, res *Result) error {
+	if err := s.net.maskDisk(disk); err != nil {
+		return err
+	}
+	return s.search(res, false)
+}
+
+// search is Algorithm 6 on the prepared network, the body both entry
+// points run. A warm start or a MarkFailed only changes the flow it
+// starts from: every run below drains (or, in the black box, zeroes)
+// whatever flow the graph carries, the previous solve's included.
+//
+//imflow:noalloc
+func (s *PRBinary) search(res *Result, warm bool) error {
 	net := &s.net
-	// A warm start only skips the rebuild: every run below drains (or, in
-	// the black box, zeroes) whatever flow the graph carries, the previous
-	// query's included.
-	warm := net.prepare(p, mask)
 	if s.engine == nil {
 		s.engine = s.factory(net.g)
 		// Asserted once here, not per run: a type assertion's runtime
@@ -241,7 +270,7 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 	minSpeed := cost.Max
 	tmin := cost.Max
 	var tmax cost.Micros
-	nTotal := cost.Micros(len(p.Disks))
+	nTotal := cost.Micros(len(net.prob.Disks))
 	for k, dp := range net.params {
 		if net.maskedSlot[k] {
 			continue // failed disks do not bound the bracket

@@ -273,10 +273,11 @@ type network struct {
 	// incrementMinCost, candidate enumeration, and the binary bracket; a
 	// dead bucket (every replica masked) has its source arc capacity zeroed
 	// so the flow target shrinks to the live buckets.
-	maskedSlot []bool   // maskedSlot[k]: participating disk k is failed
-	deadMark   []bool   // deadMark[i]: bucket i has every replica failed
-	dead       []int    // dead buckets, ascending
-	prob       *Problem // problem of the last rebuild (used by MarkFailed)
+	maskedSlot []bool          // maskedSlot[k]: participating disk k is failed
+	deadMark   []bool          // deadMark[i]: bucket i has every replica failed
+	dead       []int           // dead buckets, ascending
+	inf        InfeasibleError // finishDegraded's report; Buckets aliases dead
+	prob       *Problem        // problem of the last solve (MarkFailed re-solves it)
 
 	// Cross-query warm-start state (see warm.go): the flattened replica
 	// structure of the last build, and whether the last solve completed

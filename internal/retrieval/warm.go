@@ -16,10 +16,10 @@
 //   - PRBinary with conservation: the previous query's maximal flow. The
 //     warm start has no rule of its own: every conserving solve drains
 //     the flow the graph carries down to each run's capacities
-//     (flowgraph.DrainExcess, whole-path cancellation mirroring the
-//     failover repair) and the engine augments only the difference, so a
-//     warm solve merely starts from the previous query's flow where a
-//     cold one starts from zero. The feasibility of each probe is a
+//     (flowgraph.DrainExcess, whole-path cancellation, the same drain
+//     that absorbs a MarkFailed) and the engine augments only the
+//     difference, so a warm solve merely starts from the previous query's
+//     flow where a cold one starts from zero. The feasibility of each probe is a
 //     property of the capacities alone (the max-flow value is unique), so
 //     the bracket trajectory, the step counters, and the final response
 //     time are bit-identical to a cold solve. The engine's heights are
@@ -91,10 +91,10 @@ func (net *network) prepare(p *Problem, mask *DiskMask) bool {
 	return false
 }
 
-// resetRun returns a reused (warm) network to the state rebuildMasked
-// leaves a fresh build in: zero flow everywhere and zero disk->sink
-// capacities. The incremental walk solvers start every solve from this
-// state, so on a warm start only the rebuild itself is skipped.
+// resetRun returns a reused network to the state rebuildMasked leaves a
+// fresh build in: zero flow everywhere and zero disk->sink capacities.
+// The incremental walk solvers open every search with it, so a warm
+// start or a MarkFailed skips only the rebuild itself.
 func (net *network) resetRun() {
 	net.g.ZeroFlows()
 	for k := range net.diskIDs {

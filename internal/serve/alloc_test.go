@@ -23,9 +23,10 @@ func chunk(qs []Query, size int) [][]Query {
 // TestServeSteadyStateAllocs is the serving-layer half of the PR 2
 // zero-reallocation guarantee: a worker with a pinned sequential solver,
 // serving warmed admission batches, performs no heap allocations per
-// query — in the online concurrent path and in the deterministic path.
-// This is what justifies pinning solvers to workers instead of drawing
-// them from a sync.Pool.
+// query — in the online concurrent path and in the deterministic path,
+// healthy and degraded (disks failed so that queries drop buckets). This
+// is what justifies pinning solvers to workers instead of drawing them
+// from a sync.Pool.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	if maxflow.AuditEnabled {
 		t.Skip("imflow_audit builds allocate in the audit hooks")
@@ -34,16 +35,28 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 	qs := toServeQueries(stream)
 	batches := chunk(qs, 8)
 
+	// The orthogonal allocation puts one bucket on each pair of a site-0
+	// and a site-1 disk, so with these disks down the 9 buckets (of 36)
+	// whose copies sit on {0,1,2} x {6,7,8} have no live replica.
+	down := []int{0, 1, 2, 6, 7, 8}
 	for _, mode := range []struct {
-		name string
-		opt  Options
+		name   string
+		opt    Options
+		failed []int
 	}{
-		{"concurrent", Options{Workers: 1, Batch: 8}},
-		{"deterministic", Options{Deterministic: true, Batch: 8}},
+		{"concurrent", Options{Workers: 1, Batch: 8}, nil},
+		{"deterministic", Options{Deterministic: true, Batch: 8}, nil},
+		{"concurrent-degraded", Options{Workers: 1, Batch: 8}, down},
+		{"deterministic-degraded", Options{Deterministic: true, Batch: 8}, down},
 	} {
 		s, err := New(sys, len(qs), mode.opt)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, d := range mode.failed {
+			if err := s.FailDisk(d); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// Drive the shard worker directly (no goroutines, no channels):
 		// AllocsPerRun needs the serving step itself on the test goroutine.
@@ -61,6 +74,9 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		// solver network, engine) to the stream's peak shape.
 		serveAll()
 		serveAll()
+		if mode.failed != nil && s.nDropped.Load() == 0 {
+			t.Fatalf("%s: no query dropped a bucket", mode.name)
+		}
 		if avg := testing.AllocsPerRun(10, serveAll); avg != 0 {
 			t.Errorf("%s: %v allocs per warmed serving pass, want 0", mode.name, avg)
 		}

@@ -74,13 +74,15 @@ type worker struct {
 
 	// Fault-mode state: the failover view of the pinned solver (nil when
 	// the solver cannot mask), the batch-local snapshots of the health
-	// mask and slowdown factors, the epoch the snapshot was taken at, and
-	// a conflict scratch list.
+	// mask and slowdown factors, the epoch the snapshot was taken at, a
+	// conflict scratch list, and the errors.As target for partial
+	// retrievals (pinned: a local's address would escape to the heap).
 	fsolver   retrieval.FailoverSolver
 	mask      *retrieval.DiskMask
 	slow      []int64
 	epoch     uint64
 	conflicts []int
+	inf       *retrieval.InfeasibleError
 
 	// tableStale marks that a mid-batch fault refresh may have changed
 	// the slowdown factors, so the batch-shared disk table must be
@@ -392,18 +394,18 @@ func (w *worker) countDegraded(dropped int) {
 	}
 }
 
-// solveMasked runs the degraded solve against the worker's mask snapshot,
-// converting partial retrieval (InfeasibleError) into a dropped-bucket
-// count: a valid partial schedule is a served query, not a failure.
+// solveMasked runs the degraded solve against the worker's mask snapshot.
 func (w *worker) solveMasked(dropped *int) error {
-	err := w.fsolver.SolveMaskedInto(&w.prob, w.mask, &w.res)
-	if err == nil {
-		*dropped = 0
-		return nil
-	}
-	var inf *retrieval.InfeasibleError
-	if errors.As(err, &inf) {
-		*dropped = len(inf.Buckets)
+	return w.partial(w.fsolver.SolveMaskedInto(&w.prob, w.mask, &w.res), dropped)
+}
+
+// partial converts a degraded solve's partial retrieval (InfeasibleError)
+// into a dropped-bucket count: a valid partial schedule is a served query,
+// not a failure.
+func (w *worker) partial(err error, dropped *int) error {
+	*dropped = 0
+	if err != nil && errors.As(err, &w.inf) {
+		*dropped = len(w.inf.Buckets)
 		return nil
 	}
 	return err
@@ -411,13 +413,14 @@ func (w *worker) solveMasked(dropped *int) error {
 
 // solveFaulty is the online fault-mode solve: solve against the batch's
 // mask snapshot, then — while chaos has moved since the snapshot (epoch
-// change) — re-snapshot and repair the schedule in place with the
-// conserved-flow failover (FailoverSolver.MarkFailed) for every scheduled
-// disk that failed mid-solve, until the schedule is current. The loop
-// needs no bound: a repaired disk is masked inside the solver and never
-// carries flow again in this solve, so each round that repairs anything
-// masks a disk no earlier round did, and there are at most as many
-// rounds as disks. A fault therefore never rejects a query.
+// change) — re-snapshot and repair the schedule in place for every
+// scheduled disk that failed mid-solve, until the schedule is current.
+// A repair is FailoverSolver.MarkFailed: mask the disk in the solver's
+// network and search again, dropping buckets left with no live replica.
+// The loop needs no bound: a repaired disk is masked inside the solver
+// and never carries flow again in this solve, so each round that repairs
+// anything masks a disk no earlier round did, and there are at most as
+// many rounds as disks. A fault therefore never rejects a query.
 func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int) error {
 	s := w.srv
 	if err := w.solveMasked(dropped); err != nil {
@@ -439,7 +442,7 @@ func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int)
 		for _, d := range w.conflicts {
 			*failovers++
 			s.nFailovers.Add(1)
-			if err := w.markFailed(d, dropped); err != nil {
+			if err := w.partial(w.fsolver.MarkFailed(d, &w.res), dropped); err != nil {
 				return err
 			}
 		}
@@ -471,21 +474,6 @@ func (w *worker) findConflicts() int {
 		}
 	}
 	return len(w.conflicts)
-}
-
-// markFailed repairs the current query in place after disk d failed
-// mid-solve, folding any newly-stranded buckets into the dropped count.
-func (w *worker) markFailed(d int, dropped *int) error {
-	err := w.fsolver.MarkFailed(d, &w.res)
-	if err == nil {
-		return nil
-	}
-	var inf *retrieval.InfeasibleError
-	if errors.As(err, &inf) {
-		*dropped = len(inf.Buckets)
-		return nil
-	}
-	return err
 }
 
 // rebuildProblem refreshes the worker's pinned Problem in place for one

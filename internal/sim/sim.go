@@ -66,13 +66,14 @@ func (s FailoverScheduler) Schedule(p *retrieval.Problem) (*retrieval.Schedule, 
 
 // ScheduleMasked implements FaultAware via the solver's degraded-solve
 // path. Infeasible buckets become the dropped list rather than an error:
-// partial retrieval is the contract, not a failure.
+// partial retrieval is the contract, not a failure. The list is a copy,
+// since the solver reuses the error's own on its next call.
 func (s FailoverScheduler) ScheduleMasked(p *retrieval.Problem, mask *retrieval.DiskMask) (*retrieval.Schedule, []int, error) {
 	res := &retrieval.Result{}
 	err := s.Solver.SolveMaskedInto(p, mask, res)
 	var inf *retrieval.InfeasibleError
 	if errors.As(err, &inf) {
-		return res.Schedule, inf.Buckets, nil
+		return res.Schedule, append([]int(nil), inf.Buckets...), nil
 	}
 	if err != nil {
 		return nil, nil, err
