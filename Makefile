@@ -85,9 +85,16 @@ fault-stress:
 bench:
 	$(GO) run ./cmd/imflow-bench -out BENCH_retrieval.json
 
-## bench-smoke: the small configuration CI runs on every push.
+## bench-smoke: what CI's bench-smoke job runs on every push. The small
+## solver configuration is written under /tmp/bench-smoke (never over the
+## committed BENCH_retrieval.json) and held to the committed file's
+## machine-independent allocation gates; then every root-package
+## benchmark body runs once.
 bench-smoke:
-	$(GO) run ./cmd/imflow-bench -smoke -out BENCH_retrieval.json
+	$(GO) run ./cmd/imflow-bench -smoke -out /tmp/bench-smoke/BENCH_retrieval.json
+	$(GO) run ./cmd/imflow-bench-diff -allocs-only \
+		-old BENCH_retrieval.json -new /tmp/bench-smoke/BENCH_retrieval.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 ## profile: CPU + allocation profiles of the steady-state retrieval suite
 ## on one paper-scale cell, written under /tmp/imflow-prof for

@@ -204,7 +204,6 @@ func BenchmarkAblationEngines(b *testing.B) {
 		{"edmonds-karp", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewEdmondsKarp(g) }},
 		{"dinic", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewDinic(g) }},
 		{"push-relabel-fifo", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewPushRelabel(g) }},
-		{"push-relabel-highest", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewHighestLabel(g) }},
 		{"parallel-2", func(g *flowgraph.Graph) maxflow.Engine { return parallel.New(g, 2) }},
 	}
 	for _, e := range engines {
@@ -270,18 +269,6 @@ func BenchmarkAblationGreedyGap(b *testing.B) {
 	})
 	b.Run("pr-binary", func(b *testing.B) {
 		solveBatch(b, retrieval.NewPRBinary(), problems)
-	})
-}
-
-// BenchmarkAblationVertexSelection compares the paper's FIFO ordering with
-// the highest-label ordering inside the full integrated solver.
-func BenchmarkAblationVertexSelection(b *testing.B) {
-	problems := buildCell(b, 5, experiment.Orthogonal, query.Arbitrary, query.Load2, 20, 10)
-	b.Run("fifo", func(b *testing.B) {
-		solveBatch(b, retrieval.NewPRBinary(), problems)
-	})
-	b.Run("highest-label", func(b *testing.B) {
-		solveBatch(b, retrieval.NewPRBinaryHighestLabel(), problems)
 	})
 }
 

@@ -36,8 +36,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "workload seed (default 42)")
 	threads := flag.Int("threads", 0, "workers for the parallel engine (default 2)")
 	expNum := flag.Int("exp", 0, "Table IV experiment number (default 2)")
-	baselineMaxN := flag.Int("baseline-max-n", 0,
-		"largest grid the quadratic reference engines (ek, rtf, scaling-ek) run on (default 32)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measured suite to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the suite) to this file")
 	flag.Parse()
@@ -83,9 +81,6 @@ func main() {
 	}
 	if *expNum > 0 {
 		o.ExpNum = *expNum
-	}
-	if *baselineMaxN > 0 {
-		o.BaselineMaxN = *baselineMaxN
 	}
 
 	report, err := bench.RunRetrieval(o)

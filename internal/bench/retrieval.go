@@ -23,14 +23,6 @@ type RetrievalOptions struct {
 	Seed    uint64 // workload seed
 	Threads int    // worker count for the parallel engine
 	ExpNum  int    // Table IV experiment (default 2: generalized, heterogeneous)
-
-	// BaselineMaxN caps the grid size for the quadratic reference engines
-	// (Edmonds-Karp, relabel-to-front, scaling EK). On an N x N grid a range
-	// query reaches O(N^2) buckets, and those engines are superlinear in the
-	// vertex count — at N=60 relabel-to-front alone needs tens of minutes,
-	// which would make `make bench` irreproducible in practice. Cells larger
-	// than this run only the paper's solvers and the near-linear engines.
-	BaselineMaxN int
 }
 
 // withDefaults fills zero fields with the paper-scale defaults.
@@ -52,9 +44,6 @@ func (o RetrievalOptions) withDefaults() RetrievalOptions {
 	}
 	if o.ExpNum == 0 {
 		o.ExpNum = 2
-	}
-	if o.BaselineMaxN <= 0 {
-		o.BaselineMaxN = 32
 	}
 	return o
 }
@@ -132,40 +121,24 @@ type RetrievalReport struct {
 	Failover   []FailoverRecord  `json:"failover"`
 }
 
-// benchSolver pairs a solver constructor with whether it is a quadratic
-// reference baseline (subject to RetrievalOptions.BaselineMaxN).
-type benchSolver struct {
-	mk       func() retrieval.ReusableSolver
-	baseline bool
-}
-
 // retrievalSolvers enumerates every benchmarked solver: the integrated
 // algorithms of the paper, the black-box baseline, and the Algorithm 6
-// control flow driven by each remaining max-flow engine family.
-func retrievalSolvers(threads int) []benchSolver {
-	return []benchSolver{
-		{mk: func() retrieval.ReusableSolver { return retrieval.NewFFIncremental() }},
-		{mk: func() retrieval.ReusableSolver { return retrieval.NewPRIncremental() }},
-		{mk: func() retrieval.ReusableSolver { return retrieval.NewPRBinary() }},
-		{mk: func() retrieval.ReusableSolver { return retrieval.NewPRBinaryBlackBox() }},
-		{mk: func() retrieval.ReusableSolver { return retrieval.NewPRBinaryHighestLabel() }},
-		{mk: func() retrieval.ReusableSolver { return retrieval.NewPRBinaryParallel(threads) }},
-		{baseline: true, mk: func() retrieval.ReusableSolver {
+// control flow driven by the parallel, Edmonds-Karp and Dinic engines.
+func retrievalSolvers(threads int) []func() retrieval.ReusableSolver {
+	return []func() retrieval.ReusableSolver{
+		func() retrieval.ReusableSolver { return retrieval.NewFFIncremental() },
+		func() retrieval.ReusableSolver { return retrieval.NewPRIncremental() },
+		func() retrieval.ReusableSolver { return retrieval.NewPRBinary() },
+		func() retrieval.ReusableSolver { return retrieval.NewPRBinaryBlackBox() },
+		func() retrieval.ReusableSolver { return retrieval.NewPRBinaryParallel(threads) },
+		func() retrieval.ReusableSolver {
 			return retrieval.NewPRBinaryWithEngine("pr-binary-ek",
 				func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewEdmondsKarp(g) })
-		}},
-		{mk: func() retrieval.ReusableSolver {
+		},
+		func() retrieval.ReusableSolver {
 			return retrieval.NewPRBinaryWithEngine("pr-binary-dinic",
 				func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewDinic(g) })
-		}},
-		{baseline: true, mk: func() retrieval.ReusableSolver {
-			return retrieval.NewPRBinaryWithEngine("pr-binary-rtf",
-				func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewRelabelToFront(g) })
-		}},
-		{baseline: true, mk: func() retrieval.ReusableSolver {
-			return retrieval.NewPRBinaryWithEngine("pr-binary-scaling-ek",
-				func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewScalingEdmondsKarp(g) })
-		}},
+		},
 	}
 }
 
@@ -203,11 +176,8 @@ func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 		// All solvers are optimal, so their response times on the shared
 		// batch must agree; the first solver anchors the cross-check.
 		var anchor []int64
-		for _, bs := range retrievalSolvers(o.Threads) {
-			if bs.baseline && n > o.BaselineMaxN {
-				continue
-			}
-			rec, responses, err := measureReusable(bs.mk(), inst.Problems, o.Repeats)
+		for _, mk := range retrievalSolvers(o.Threads) {
+			rec, responses, err := measureReusable(mk(), inst.Problems, o.Repeats)
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: %w", cfg, err)
 			}
@@ -223,7 +193,7 @@ func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 			}
 			rec.Cell = cfg.String()
 			rec.N = n
-			warmNs, warmAllocs, err := measureWarm(bs.mk(), bs.mk(), inst.Problems, o.Repeats)
+			warmNs, warmAllocs, err := measureWarm(mk(), mk(), inst.Problems, o.Repeats)
 			if err != nil {
 				return nil, fmt.Errorf("bench: cell %s: warm %s: %w", cfg, rec.Solver, err)
 			}

@@ -5,9 +5,19 @@ import (
 	"testing"
 
 	"imflow/internal/experiment"
+	"imflow/internal/flowgraph"
+	"imflow/internal/maxflow"
 	"imflow/internal/query"
 	"imflow/internal/retrieval"
 )
+
+// newPRBinaryDinic drives Algorithm 6 with Dinic: a deterministic engine
+// without Resume, so the rosters keep covering the conserving
+// DrainExcess + Run branch of retrieval.PRBinary.
+func newPRBinaryDinic() *retrieval.PRBinary {
+	return retrieval.NewPRBinaryWithEngine("pr-binary-dinic",
+		func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewDinic(g) })
+}
 
 // failoverGridSolvers enumerates every FailoverSolver over every engine the
 // repository ships, for the paper-grid failover cross-check.
@@ -19,7 +29,7 @@ var failoverGridSolvers = []struct {
 	{"pr-incremental", func() retrieval.FailoverSolver { return retrieval.NewPRIncremental() }},
 	{"pr-binary", func() retrieval.FailoverSolver { return retrieval.NewPRBinary() }},
 	{"pr-binary-blackbox", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryBlackBox() }},
-	{"pr-binary-highest", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryHighestLabel() }},
+	{"pr-binary-dinic", func() retrieval.FailoverSolver { return newPRBinaryDinic() }},
 	{"pr-binary-parallel", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryParallel(2) }},
 }
 

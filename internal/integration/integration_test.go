@@ -75,7 +75,7 @@ func TestCellSolverConsensusAcrossTheMatrix(t *testing.T) {
 		retrieval.NewPRIncremental(),
 		retrieval.NewPRBinary(),
 		retrieval.NewPRBinaryBlackBox(),
-		retrieval.NewPRBinaryHighestLabel(),
+		newPRBinaryDinic(),
 		retrieval.NewPRBinaryParallel(2),
 	}
 	for expNum := 1; expNum <= 5; expNum++ {

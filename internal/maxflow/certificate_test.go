@@ -21,9 +21,6 @@ var certEngines = []func(*flowgraph.Graph) maxflow.Engine{
 	func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewEdmondsKarp(g) },
 	func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewDinic(g) },
 	func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewPushRelabel(g) },
-	func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewHighestLabel(g) },
-	func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewRelabelToFront(g) },
-	func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewScalingEdmondsKarp(g) },
 	func(g *flowgraph.Graph) maxflow.Engine { return parallel.New(g, 1) },
 	func(g *flowgraph.Graph) maxflow.Engine { return parallel.New(g, 4) },
 }

@@ -24,8 +24,6 @@ var csrEngines = []struct {
 	parallel bool
 }{
 	{"push-relabel", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewPushRelabel(g) }, false},
-	{"highest-label", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewHighestLabel(g) }, false},
-	{"relabel-to-front", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewRelabelToFront(g) }, false},
 	{"parallel(1)", func(g *flowgraph.Graph) maxflow.Engine { return parallel.New(g, 1) }, true},
 	{"parallel(2)", func(g *flowgraph.Graph) maxflow.Engine { return parallel.New(g, 2) }, true},
 	{"parallel(4)", func(g *flowgraph.Graph) maxflow.Engine { return parallel.New(g, 4) }, true},

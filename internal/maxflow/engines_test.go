@@ -84,20 +84,6 @@ func TestEngineNamesDistinct(t *testing.T) {
 	}
 }
 
-func TestHighestLabelInterval(t *testing.T) {
-	rng := xrand.New(55)
-	gProto, s, snk := bipartiteRetrievalGraph(rng, 60, 6, 5)
-	want := NewEdmondsKarp(gProto.Clone()).Run(s, snk)
-	for _, interval := range []int{-1, 0, 5} {
-		g := gProto.Clone()
-		hl := NewHighestLabel(g)
-		hl.GlobalRelabelInterval = interval
-		if got := hl.Run(s, snk); got != want {
-			t.Errorf("interval %d: flow %d, want %d", interval, got, want)
-		}
-	}
-}
-
 func TestPushRelabelIntervalVariants(t *testing.T) {
 	rng := xrand.New(56)
 	gProto, s, snk := bipartiteRetrievalGraph(rng, 60, 6, 5)
@@ -108,32 +94,6 @@ func TestPushRelabelIntervalVariants(t *testing.T) {
 		pr.GlobalRelabelInterval = interval
 		if got := pr.Run(s, snk); got != want {
 			t.Errorf("interval %d: flow %d, want %d", interval, got, want)
-		}
-	}
-}
-
-// TestScalingEdmondsKarpLargeCapacities: capacity scaling shines when arc
-// capacities are large; verify correctness there.
-func TestScalingEdmondsKarpLargeCapacities(t *testing.T) {
-	rng := xrand.New(77)
-	for trial := 0; trial < 30; trial++ {
-		n := 5 + rng.Intn(15)
-		g := flowgraph.New(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || v == 0 || u == n-1 {
-				continue
-			}
-			g.AddEdge(u, v, int64(rng.Intn(1_000_000))+1)
-		}
-		want := NewEdmondsKarp(g.Clone()).Run(0, n-1)
-		got := NewScalingEdmondsKarp(g).Run(0, n-1)
-		if got != want {
-			t.Fatalf("trial %d: scaling EK %d, want %d", trial, got, want)
-		}
-		sek := NewScalingEdmondsKarp(g)
-		if sek.Metrics() == nil {
-			t.Fatal("nil metrics")
 		}
 	}
 }
@@ -151,7 +111,7 @@ func TestMetricsPopulatedPerEngine(t *testing.T) {
 			t.Errorf("%s: no arc scans recorded", e.Name())
 		}
 		switch e.(type) {
-		case *FordFulkerson, *EdmondsKarp, *Dinic, *ScalingEdmondsKarp:
+		case *FordFulkerson, *EdmondsKarp, *Dinic:
 			if m.Augmentations == 0 {
 				t.Errorf("%s: no augmentations recorded", e.Name())
 			}

@@ -13,9 +13,6 @@ var allEngines = []func(*flowgraph.Graph) Engine{
 	func(g *flowgraph.Graph) Engine { return NewEdmondsKarp(g) },
 	func(g *flowgraph.Graph) Engine { return NewDinic(g) },
 	func(g *flowgraph.Graph) Engine { return NewPushRelabel(g) },
-	func(g *flowgraph.Graph) Engine { return NewHighestLabel(g) },
-	func(g *flowgraph.Graph) Engine { return NewRelabelToFront(g) },
-	func(g *flowgraph.Graph) Engine { return NewScalingEdmondsKarp(g) },
 }
 
 // buildFixed returns the classic CLRS example network with max flow 23.

@@ -13,7 +13,7 @@ func allOptimalSolvers() []Solver {
 		NewPRIncremental(),
 		NewPRBinary(),
 		NewPRBinaryBlackBox(),
-		NewPRBinaryHighestLabel(),
+		newPRBinaryDinic(),
 		NewPRBinaryParallel(2),
 		NewOracle(),
 	}

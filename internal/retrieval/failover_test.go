@@ -37,6 +37,14 @@ func flowgraphForMask(p *Problem, mask *DiskMask) *flowgraph.Graph {
 	return g
 }
 
+// newPRBinaryDinic drives Algorithm 6 with Dinic: a deterministic engine
+// without Resume, so the solver rosters keep covering the conserving
+// DrainExcess + Run branch of PRBinary.run.
+func newPRBinaryDinic() *PRBinary {
+	return NewPRBinaryWithEngine("pr-binary-dinic",
+		func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewDinic(g) })
+}
+
 // failoverSolvers enumerates every FailoverSolver constructor.
 var failoverSolvers = []struct {
 	name string
@@ -46,7 +54,7 @@ var failoverSolvers = []struct {
 	{"pr-incremental", func() FailoverSolver { return NewPRIncremental() }},
 	{"pr-binary", func() FailoverSolver { return NewPRBinary() }},
 	{"pr-binary-blackbox", func() FailoverSolver { return NewPRBinaryBlackBox() }},
-	{"pr-binary-highest", func() FailoverSolver { return NewPRBinaryHighestLabel() }},
+	{"pr-binary-dinic", func() FailoverSolver { return newPRBinaryDinic() }},
 	{"pr-binary-parallel", func() FailoverSolver { return NewPRBinaryParallel(2) }},
 }
 

@@ -19,10 +19,6 @@ type EngineFactory func(*flowgraph.Graph) maxflow.Engine
 // height and gap heuristics (Algorithm 4's implementation).
 func SequentialEngine(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewPushRelabel(g) }
 
-// HighestLabelEngine builds the highest-label push-relabel variant — an
-// ablation point over the paper's FIFO vertex-selection rule.
-func HighestLabelEngine(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewHighestLabel(g) }
-
 // ParallelEngine builds the lock-free multithreaded push-relabel engine of
 // Section V with the given worker count. threads <= 0 selects
 // runtime.GOMAXPROCS(0), the scheduler's actual parallelism budget.
@@ -163,13 +159,6 @@ func NewPRBinary() *PRBinary {
 // control flow, but every max-flow run starts from zero flow.
 func NewPRBinaryBlackBox() *PRBinary {
 	return &PRBinary{name: "pr-binary-blackbox", factory: SequentialEngine, conserve: false}
-}
-
-// NewPRBinaryHighestLabel returns the integrated Algorithm 6 solver backed
-// by the highest-label push-relabel engine instead of FIFO — used to
-// ablate the paper's vertex-selection choice.
-func NewPRBinaryHighestLabel() *PRBinary {
-	return &PRBinary{name: "pr-binary-highest", factory: HighestLabelEngine, conserve: true}
 }
 
 // NewPRBinaryWithEngine returns the integrated Algorithm 6 solver backed

@@ -132,34 +132,10 @@ func (p *Problem) Makespan(assignment []int) cost.Micros {
 
 // ValidateSchedule checks that a schedule solves the problem: every bucket
 // is assigned to one of its replicas, the per-disk counts match, and the
-// recorded response time equals the recomputed makespan.
+// recorded response time equals the recomputed makespan. It is
+// ValidatePartialSchedule with no dead buckets.
 func (p *Problem) ValidateSchedule(s *Schedule) error {
-	if len(s.Assignment) != len(p.Replicas) {
-		return fmt.Errorf("retrieval: schedule covers %d of %d buckets", len(s.Assignment), len(p.Replicas))
-	}
-	counts := make([]int64, len(p.Disks))
-	for i, d := range s.Assignment {
-		ok := false
-		for _, r := range p.Replicas[i] {
-			if r == d {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("retrieval: bucket %d assigned to non-replica disk %d", i, d)
-		}
-		counts[d]++
-	}
-	for j := range counts {
-		if counts[j] != s.Counts[j] {
-			return fmt.Errorf("retrieval: disk %d count %d, schedule says %d", j, counts[j], s.Counts[j])
-		}
-	}
-	if got := p.Makespan(s.Assignment); got != s.ResponseTime {
-		return fmt.Errorf("retrieval: recorded response time %v, recomputed %v", s.ResponseTime, got)
-	}
-	return nil
+	return p.ValidatePartialSchedule(s, nil)
 }
 
 // ValidatePartialSchedule checks a degraded schedule: every bucket in dead

@@ -63,7 +63,7 @@ func TestPropertyAllSolversMatchOracle(t *testing.T) {
 		NewPRIncremental(),
 		NewPRBinary(),
 		NewPRBinaryBlackBox(),
-		NewPRBinaryHighestLabel(),
+		newPRBinaryDinic(),
 	}
 	check := func(seed uint64) bool {
 		p := problemFromSeed(seed, true)

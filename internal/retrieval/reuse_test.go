@@ -14,7 +14,7 @@ var reusableSolvers = []func() ReusableSolver{
 	func() ReusableSolver { return NewPRIncremental() },
 	func() ReusableSolver { return NewPRBinary() },
 	func() ReusableSolver { return NewPRBinaryBlackBox() },
-	func() ReusableSolver { return NewPRBinaryHighestLabel() },
+	func() ReusableSolver { return newPRBinaryDinic() },
 	func() ReusableSolver { return NewPRBinaryParallel(2) },
 }
 
