@@ -91,7 +91,7 @@ func BenchmarkFig5(b *testing.B) {
 			solveBatch(b, retrieval.NewFFBasic(), problems)
 		})
 		b.Run(pn.name+"/push-relabel", func(b *testing.B) {
-			solveBatch(b, retrieval.NewPRBinary(), problems)
+			solveBatch(b, retrieval.NewPRBinaryBisect(), problems)
 		})
 	}
 }
@@ -114,7 +114,7 @@ func BenchmarkFig6(b *testing.B) {
 			solveBatch(b, retrieval.NewFFIncremental(), problems)
 		})
 		b.Run(pn.name+"/push-relabel", func(b *testing.B) {
-			solveBatch(b, retrieval.NewPRBinary(), problems)
+			solveBatch(b, retrieval.NewPRBinaryBisect(), problems)
 		})
 	}
 }
@@ -128,7 +128,7 @@ func BenchmarkFig7(b *testing.B) {
 			solveBatch(b, retrieval.NewPRBinaryBlackBox(), problems)
 		})
 		b.Run(alloc.String()+"/integrated", func(b *testing.B) {
-			solveBatch(b, retrieval.NewPRBinary(), problems)
+			solveBatch(b, retrieval.NewPRBinaryBisect(), problems)
 		})
 	}
 }
@@ -142,7 +142,7 @@ func BenchmarkFig8(b *testing.B) {
 			solveBatch(b, retrieval.NewPRBinaryBlackBox(), problems)
 		})
 		b.Run(alloc.String()+"/integrated", func(b *testing.B) {
-			solveBatch(b, retrieval.NewPRBinary(), problems)
+			solveBatch(b, retrieval.NewPRBinaryBisect(), problems)
 		})
 	}
 }
@@ -156,7 +156,7 @@ func BenchmarkFig9(b *testing.B) {
 			solveBatch(b, retrieval.NewPRBinaryBlackBox(), problems)
 		})
 		b.Run(fmt.Sprintf("%s/integrated", load), func(b *testing.B) {
-			solveBatch(b, retrieval.NewPRBinary(), problems)
+			solveBatch(b, retrieval.NewPRBinaryBisect(), problems)
 		})
 	}
 }
@@ -166,7 +166,7 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	problems := buildCell(b, 5, experiment.Orthogonal, query.Arbitrary, query.Load1, 40, 5)
 	b.Run("sequential", func(b *testing.B) {
-		solveBatch(b, retrieval.NewPRBinary(), problems)
+		solveBatch(b, retrieval.NewPRBinaryBisect(), problems)
 	})
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("parallel-%dthreads", threads), func(b *testing.B) {
@@ -280,7 +280,7 @@ func BenchmarkAblationIncrementalVsBinary(b *testing.B) {
 		solveBatch(b, retrieval.NewPRIncremental(), problems)
 	})
 	b.Run("binary-alg6", func(b *testing.B) {
-		solveBatch(b, retrieval.NewPRBinary(), problems)
+		solveBatch(b, retrieval.NewPRBinaryBisect(), problems)
 	})
 }
 

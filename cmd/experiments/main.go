@@ -98,7 +98,7 @@ func main() {
 		retrieval.NewFFIncremental(),
 		retrieval.NewPRIncremental(),
 		retrieval.NewPRBinaryBlackBox(),
-		retrieval.NewPRBinary(),
+		retrieval.NewPRBinaryBisect(),
 		retrieval.NewPRBinaryParallel(*threads),
 	}
 	type row struct {

@@ -25,13 +25,15 @@
 // stdout — the CI artifact and editor-integration format — instead of
 // the human text form.
 //
-// -baseline <file> turns the run into a regression gate: findings are
-// diffed against the committed record stream (lint_baseline.json at the
-// repository root) and only *new* findings fail the run, so the roster
-// can grow without demanding a same-day cleanup of the backlog. Findings
-// present in the baseline but absent now are listed as fixed; refresh
-// the baseline with -accept (see `make lint-accept`), which rewrites the
-// baseline file with the current findings and always exits 0.
+// -baseline <file> turns the run into a regression gate: findings,
+// suppressed ones included, are diffed against the committed record
+// stream (lint_baseline.json at the repository root), and the run fails
+// on any difference, so the roster can grow without demanding a same-day
+// cleanup of the backlog while the file never drifts from the code. A
+// new finding fails it, and so does a baseline record no current finding
+// matches (stale); refresh the baseline with -accept (see
+// `make lint-accept`), which rewrites the baseline file with the current
+// findings and always exits 0.
 //
 // Findings are silenced per line with
 //
@@ -40,8 +42,8 @@
 // on (or immediately above) the flagged line. The reason is mandatory,
 // and the analyzer name must be in the roster; a reasonless or typo'd
 // suppression is itself a finding. The exit status is non-zero only for
-// findings (malformed suppressions included; new-vs-baseline findings in
-// baseline mode) or a failed vet pass — valid suppressions do not fail
+// findings (malformed suppressions included; new findings and stale
+// baseline records in baseline mode) or a failed vet pass — valid suppressions do not fail
 // the run, and -json reports them with "suppressed": true for
 // auditability.
 package main
@@ -127,7 +129,7 @@ func main() {
 	novet := flag.Bool("novet", false, "skip the curated go vet pass")
 	list := flag.Bool("list", false, "print the analyzer set and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a stably sorted JSON record array on stdout")
-	baselinePath := flag.String("baseline", "", "diff findings against this baseline file; only new findings fail the run")
+	baselinePath := flag.String("baseline", "", "diff findings against this baseline file; new findings and stale baseline records fail the run")
 	verbose := flag.Bool("v", false, "print per-analyzer wall time to stderr")
 	accept := flag.Bool("accept", false, "rewrite the -baseline file with the current findings and exit 0")
 	enabled := map[string]*bool{}
@@ -242,14 +244,17 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		newFindings, fixed := analysis.DiffBaseline(records, baseline)
+		newFindings, stale := analysis.DiffBaseline(records, baseline)
 		for _, r := range newFindings {
 			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s (new since baseline)\n", r.File, r.Line, r.Col, r.Analyzer, r.Message)
 		}
-		if len(fixed) > 0 {
-			fmt.Fprintf(os.Stderr, "imflow-lint: %d baseline finding(s) fixed — refresh with `make lint-accept`\n", len(fixed))
+		for _, r := range stale {
+			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s (stale baseline record: no current finding matches it)\n", r.File, r.Line, r.Col, r.Analyzer, r.Message)
 		}
-		failed = len(newFindings) > 0
+		if len(stale) > 0 {
+			fmt.Fprintf(os.Stderr, "imflow-lint: %d stale baseline record(s) — refresh with `make lint-accept`\n", len(stale))
+		}
+		failed = len(newFindings) > 0 || len(stale) > 0
 	} else {
 		if !*jsonOut {
 			for _, d := range active {

@@ -42,11 +42,11 @@ func main() {
 	fmt.Printf("cell %s: %d queries, avg |Q| = %d buckets, %d cores available\n\n",
 		cfg, len(inst.Problems), total/len(inst.Problems), runtime.NumCPU())
 
-	seq, err := bench.MeasureSolver(retrieval.NewPRBinary(), inst.Problems)
+	seq, err := bench.MeasureSolver(retrieval.NewPRBinaryBisect(), inst.Problems)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %-26s %8.3f ms/query\n", "sequential pr-binary", seq.AvgMs())
+	fmt.Printf("  %-26s %8.3f ms/query\n", "sequential pr-binary-bisect", seq.AvgMs())
 	for _, threads := range []int{1, 2, 4, 8} {
 		par, err := bench.MeasureSolver(retrieval.NewPRBinaryParallel(threads), inst.Problems)
 		if err != nil {

@@ -24,9 +24,10 @@
 //
 // Solver selection:
 //
-//   - NewPRBinary: the paper's contribution (Algorithm 6) — integrated
-//     push-relabel with binary capacity scaling and flow conservation.
-//     Use this one.
+//   - NewPRBinary: the paper's contribution — integrated push-relabel
+//     with flow conservation — searching by min-cut jumps instead of
+//     Algorithm 6's bisection. Use this one. Algorithm 6 as printed is
+//     Solvers(n)["pr-binary-bisect"], with the same response times.
 //   - NewPRBinaryParallel: the same with the lock-free multithreaded
 //     push-relabel engine of Section V.
 //   - NewPRBinaryBlackBox: the prior-work baseline ([12]) that re-runs
@@ -85,8 +86,11 @@ func NewDiskMask(numDisks int) *DiskMask { return retrieval.NewDiskMask(numDisks
 // FromMillis converts (possibly fractional) milliseconds to Micros.
 func FromMillis(ms float64) Micros { return cost.FromMillis(ms) }
 
-// NewPRBinary returns the integrated push-relabel solver with binary
-// capacity scaling (Algorithm 6) — the paper's headline algorithm.
+// NewPRBinary returns the integrated push-relabel solver, the paper's
+// headline algorithm with one change to its search: where Algorithm 6
+// bisects the bracket of response times, it jumps to the bound each
+// short max-flow run's minimum cut sets, and so usually needs one or two
+// runs instead of 16-21. Its response times equal Algorithm 6's.
 func NewPRBinary() Solver { return retrieval.NewPRBinary() }
 
 // NewPRBinaryParallel returns Algorithm 6 backed by the lock-free

@@ -13,8 +13,9 @@ func rec(file, analyzer, message string, line int) analysis.Record {
 }
 
 // TestDiffBaseline pins the gate semantics: unchanged findings pass,
-// new findings fail, absent findings report as fixed, matching ignores
-// line numbers, respects multiplicity, and skips suppressed records.
+// new findings fail, absent findings report as stale, matching ignores
+// line numbers, respects multiplicity, and matches suppressed records
+// like active ones.
 func TestDiffBaseline(t *testing.T) {
 	baseline := []analysis.Record{
 		rec("a.go", "noalloc", "make allocates", 10),
@@ -106,8 +107,8 @@ func TestAcceptPrunesStaleEntries(t *testing.T) {
 }
 
 // TestDiffBaselineDeletedFile: every entry for a file that no longer
-// exists (so no current record mentions it) reports as fixed — never as
-// a gate failure — and an -accept rewrite drops them all.
+// exists (so no current record mentions it) reports as stale, never as
+// new, and an -accept rewrite drops them all.
 func TestDiffBaselineDeletedFile(t *testing.T) {
 	baseline := []analysis.Record{
 		rec("gone.go", "noalloc", "make allocates", 3),
@@ -163,6 +164,44 @@ func TestDiffBaselineDuplicatePosition(t *testing.T) {
 	}
 	if len(refreshed) != 2 {
 		t.Fatalf("round trip collapsed co-located records: %v", refreshed)
+	}
+}
+
+// TestDiffBaselineStaleSuppressedRecord: suppressed records take part in
+// the diff both ways. A suppression whose function was renamed leaves a
+// stale baseline record and a new current one, and unsuppressing a
+// finding reads as a new active record plus a stale suppressed one;
+// either way the gate, which fails on any new or stale record, fails.
+func TestDiffBaselineStaleSuppressedRecord(t *testing.T) {
+	suppressed := func(message string) analysis.Record {
+		r := rec("pr.go", "noalloc", message, 10)
+		r.Suppressed, r.Reason = true, "cold failure exit"
+		return r
+	}
+	baseline := []analysis.Record{
+		rec("a.go", "noalloc", "make allocates", 3),
+		suppressed("fmt.Errorf allocates in //imflow:noalloc function solveMasked"),
+	}
+	current := []analysis.Record{
+		rec("a.go", "noalloc", "make allocates", 3),
+		suppressed("fmt.Errorf allocates in //imflow:noalloc function search"),
+	}
+	newFindings, stale := analysis.DiffBaseline(current, baseline)
+	if len(stale) != 1 || stale[0].Message != baseline[1].Message {
+		t.Fatalf("stale = %v, want the solveMasked record", stale)
+	}
+	if len(newFindings) != 1 || newFindings[0].Message != current[1].Message {
+		t.Fatalf("newFindings = %v, want the search record", newFindings)
+	}
+
+	// The same finding, no longer suppressed.
+	active := rec("pr.go", "noalloc", baseline[1].Message, 10)
+	newFindings, stale = analysis.DiffBaseline([]analysis.Record{baseline[0], active}, baseline)
+	if len(newFindings) != 1 || newFindings[0].Suppressed {
+		t.Fatalf("newFindings = %v, want the unsuppressed record", newFindings)
+	}
+	if len(stale) != 1 || !stale[0].Suppressed {
+		t.Fatalf("stale = %v, want the suppressed baseline record", stale)
 	}
 }
 

@@ -153,7 +153,7 @@ func Fig5(o Options) (*Figure, error) {
 	for _, spec := range panels {
 		series, err := compareSeries(1, experiment.RDA, spec, o, []func() retrieval.Solver{
 			func() retrieval.Solver { return retrieval.NewFFBasic() },
-			func() retrieval.Solver { return retrieval.NewPRBinary() },
+			func() retrieval.Solver { return retrieval.NewPRBinaryBisect() },
 		})
 		if err != nil {
 			return nil, err
@@ -181,7 +181,7 @@ func Fig6(o Options) (*Figure, error) {
 	for _, spec := range panels {
 		series, err := compareSeries(5, experiment.Orthogonal, spec, o, []func() retrieval.Solver{
 			func() retrieval.Solver { return retrieval.NewFFIncremental() },
-			func() retrieval.Solver { return retrieval.NewPRBinary() },
+			func() retrieval.Solver { return retrieval.NewPRBinaryBisect() },
 		})
 		if err != nil {
 			return nil, err
@@ -208,7 +208,7 @@ func Fig7(o Options) (*Figure, error) {
 	for _, spec := range panels {
 		series, err := ratioSeries(1, spec, o,
 			func() retrieval.Solver { return retrieval.NewPRBinaryBlackBox() },
-			func() retrieval.Solver { return retrieval.NewPRBinary() })
+			func() retrieval.Solver { return retrieval.NewPRBinaryBisect() })
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +243,7 @@ func Fig8(o Options) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			mIN, err := MeasureSolver(retrieval.NewPRBinary(), inst.Problems)
+			mIN, err := MeasureSolver(retrieval.NewPRBinaryBisect(), inst.Problems)
 			if err != nil {
 				return nil, err
 			}
@@ -279,7 +279,7 @@ func Fig9(o Options) (*Figure, error) {
 	for _, spec := range panels {
 		series, err := ratioSeries(5, spec, o,
 			func() retrieval.Solver { return retrieval.NewPRBinaryBlackBox() },
-			func() retrieval.Solver { return retrieval.NewPRBinary() })
+			func() retrieval.Solver { return retrieval.NewPRBinaryBisect() })
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +319,7 @@ func Fig9Work(o Options) (*Figure, error) {
 				if err != nil {
 					return nil, err
 				}
-				in, err := MeasureSolver(retrieval.NewPRBinary(), inst.Problems)
+				in, err := MeasureSolver(retrieval.NewPRBinaryBisect(), inst.Problems)
 				if err != nil {
 					return nil, err
 				}
@@ -366,7 +366,7 @@ func Fig10(o Options) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq, err := MeasureSolver(retrieval.NewPRBinary(), inst.Problems)
+		seq, err := MeasureSolver(retrieval.NewPRBinaryBisect(), inst.Problems)
 		if err != nil {
 			return nil, err
 		}

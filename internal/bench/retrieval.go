@@ -12,6 +12,7 @@ import (
 	"imflow/internal/maxflow"
 	"imflow/internal/query"
 	"imflow/internal/retrieval"
+	"imflow/internal/xrand"
 )
 
 // RetrievalOptions configures the steady-state retrieval benchmark suite
@@ -122,13 +123,15 @@ type RetrievalReport struct {
 }
 
 // retrievalSolvers enumerates every benchmarked solver: the integrated
-// algorithms of the paper, the black-box baseline, and the Algorithm 6
+// algorithms of the paper, pr-binary's min-cut search beside Algorithm 6
+// (pr-binary-bisect), the black-box baseline, and the Algorithm 6
 // control flow driven by the parallel, Edmonds-Karp and Dinic engines.
 func retrievalSolvers(threads int) []func() retrieval.ReusableSolver {
 	return []func() retrieval.ReusableSolver{
 		func() retrieval.ReusableSolver { return retrieval.NewFFIncremental() },
 		func() retrieval.ReusableSolver { return retrieval.NewPRIncremental() },
 		func() retrieval.ReusableSolver { return retrieval.NewPRBinary() },
+		func() retrieval.ReusableSolver { return retrieval.NewPRBinaryBisect() },
 		func() retrieval.ReusableSolver { return retrieval.NewPRBinaryBlackBox() },
 		func() retrieval.ReusableSolver { return retrieval.NewPRBinaryParallel(threads) },
 		func() retrieval.ReusableSolver {
@@ -142,11 +145,24 @@ func retrievalSolvers(threads int) []func() retrieval.ReusableSolver {
 	}
 }
 
+// backlogN and backlogMaxLoad fix the backlogged cell every run adds
+// after the grid: Exp 2, RDA, range, Load 2 at N=60, with each disk's
+// X_j drawn uniformly from [0, 50 s] from the bench seed. Disks that
+// busy, and spread that far beyond the optimum, are where pr-binary's
+// min-cut search needs the most jumps. A sweep whose largest grid is
+// smaller than N=60 (the smoke configuration) runs the cell at that
+// largest size instead.
+const (
+	backlogN       = 60
+	backlogMaxLoad = 50_000_000 // microseconds
+)
+
 // RunRetrieval executes the steady-state retrieval suite and returns the
-// report. Every solver is warmed on the full batch (two passes, letting all
-// reused buffers converge to the cell's peak problem shape) and then timed
-// over Repeats further passes with allocation counters around the loop.
-// Each cell then gets failoverDepth failover records from pr-binary.
+// report: one cell per grid size, each with failoverDepth failover
+// records from pr-binary, then the backlogged cell. Every solver is
+// warmed on the full batch (two passes, letting all reused buffers
+// converge to the cell's peak problem shape) and then timed over Repeats
+// further passes with allocation counters around the loop.
 func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 	o = o.withDefaults()
 	report := &RetrievalReport{
@@ -159,50 +175,16 @@ func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 		Audit:      maxflow.AuditEnabled,
 		Options:    o,
 	}
+	largest := 0
 	for _, n := range o.Ns {
-		cfg := experiment.Config{
-			ExpNum:  o.ExpNum,
-			Alloc:   experiment.RDA,
-			Type:    query.Range,
-			Load:    query.Load2,
-			N:       n,
-			Queries: o.Queries,
-			Seed:    o.Seed + uint64(n)*1000003,
-		}
+		largest = max(largest, n)
+		cfg := gridCell(o, o.ExpNum, n)
 		inst, err := cfg.Build()
 		if err != nil {
 			return nil, err
 		}
-		// All solvers are optimal, so their response times on the shared
-		// batch must agree; the first solver anchors the cross-check.
-		var anchor []int64
-		for _, mk := range retrievalSolvers(o.Threads) {
-			rec, responses, err := measureReusable(mk(), inst.Problems, o.Repeats)
-			if err != nil {
-				return nil, fmt.Errorf("bench: cell %s: %w", cfg, err)
-			}
-			if anchor == nil {
-				anchor = responses
-			} else {
-				for i := range anchor {
-					if anchor[i] != responses[i] {
-						return nil, fmt.Errorf("bench: cell %s: %s response %d on query %d, expected %d",
-							cfg, rec.Solver, responses[i], i, anchor[i])
-					}
-				}
-			}
-			rec.Cell = cfg.String()
-			rec.N = n
-			warmNs, warmAllocs, err := measureWarm(mk(), mk(), inst.Problems, o.Repeats)
-			if err != nil {
-				return nil, fmt.Errorf("bench: cell %s: warm %s: %w", cfg, rec.Solver, err)
-			}
-			rec.WarmNsPerOp = warmNs
-			rec.WarmAllocsPerOp = warmAllocs
-			if warmNs > 0 {
-				rec.WarmSpeedup = rec.NsPerOp / warmNs
-			}
-			report.Records = append(report.Records, rec)
+		if err := benchCell(report, cfg.String(), n, inst, o); err != nil {
+			return nil, err
 		}
 		failover, err := measureFailover(inst.System.NumDisks(), inst.Problems)
 		if err != nil {
@@ -213,7 +195,72 @@ func RunRetrieval(o RetrievalOptions) (*RetrievalReport, error) {
 			report.Failover = append(report.Failover, rec)
 		}
 	}
+	n := min(backlogN, largest)
+	cfg := gridCell(o, 2, n)
+	inst, err := cfg.Build()
+	if err != nil {
+		return nil, err
+	}
+	rng := xrand.New(o.Seed)
+	for _, p := range inst.Problems {
+		for j := range p.Disks {
+			p.Disks[j].Load = cost.Micros(rng.Intn(backlogMaxLoad + 1))
+		}
+	}
+	if err := benchCell(report, cfg.String()+"/backlog", n, inst, o); err != nil {
+		return nil, err
+	}
 	return report, nil
+}
+
+// gridCell is the solver bench's cell for one experiment and grid size.
+func gridCell(o RetrievalOptions, expNum, n int) experiment.Config {
+	return experiment.Config{
+		ExpNum:  expNum,
+		Alloc:   experiment.RDA,
+		Type:    query.Range,
+		Load:    query.Load2,
+		N:       n,
+		Queries: o.Queries,
+		Seed:    o.Seed + uint64(n)*1000003,
+	}
+}
+
+// benchCell measures every solver, cold and warm, on one cell's
+// problems, appending the records to report under the name cell.
+func benchCell(report *RetrievalReport, cell string, n int, inst *experiment.Instance, o RetrievalOptions) error {
+	// All solvers are optimal, so their response times on the shared
+	// batch must agree; the first solver anchors the cross-check.
+	var anchor []int64
+	for _, mk := range retrievalSolvers(o.Threads) {
+		rec, responses, err := measureReusable(mk(), inst.Problems, o.Repeats)
+		if err != nil {
+			return fmt.Errorf("bench: cell %s: %w", cell, err)
+		}
+		if anchor == nil {
+			anchor = responses
+		} else {
+			for i := range anchor {
+				if anchor[i] != responses[i] {
+					return fmt.Errorf("bench: cell %s: %s response %d on query %d, expected %d",
+						cell, rec.Solver, responses[i], i, anchor[i])
+				}
+			}
+		}
+		rec.Cell = cell
+		rec.N = n
+		warmNs, warmAllocs, err := measureWarm(mk(), mk(), inst.Problems, o.Repeats)
+		if err != nil {
+			return fmt.Errorf("bench: cell %s: warm %s: %w", cell, rec.Solver, err)
+		}
+		rec.WarmNsPerOp = warmNs
+		rec.WarmAllocsPerOp = warmAllocs
+		if warmNs > 0 {
+			rec.WarmSpeedup = rec.NsPerOp / warmNs
+		}
+		report.Records = append(report.Records, rec)
+	}
+	return nil
 }
 
 // busiestLive returns the live disk carrying the most blocks of the
@@ -240,7 +287,7 @@ func stranded(err error) (bool, error) {
 
 // measureFailover fails, per problem, the busiest live disk failoverDepth
 // times in a row. Each failure is timed twice: as one MarkFailed of the
-// conserved solver, which re-runs Algorithm 6 from the flow its last solve
+// conserved solver, which re-runs its search from the flow its last solve
 // or repair left, and as one fresh masked solve at the same mask.
 // Even problems run the repair first and odd ones the fresh solve, so
 // neither side always inherits the other's cache state. The two must agree

@@ -7,10 +7,11 @@ import (
 	"imflow/internal/maxflow"
 )
 
-// TestRunRetrievalSmoke runs the suite on a tiny cell and gates the
-// tentpole invariant: the steady-state integrated solve loop performs zero
-// heap allocations for every sequential engine. It also checks that the
-// failover sweep measured every failure.
+// TestRunRetrievalSmoke runs the suite on a tiny cell, and the backlogged
+// cell at the same size, and gates the tentpole invariant: the
+// steady-state integrated solve loop performs zero heap allocations for
+// every sequential engine. It also checks that the failover sweep
+// measured every failure of the grid cell.
 func TestRunRetrievalSmoke(t *testing.T) {
 	// Pin one P for the run, as testing.AllocsPerRun does. With two, the
 	// runtime's own work on the other P can allocate inside a measured
@@ -20,9 +21,12 @@ func TestRunRetrievalSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(retrievalSolvers(2))
+	want := 2 * len(retrievalSolvers(2))
 	if len(report.Records) != want {
 		t.Fatalf("got %d records, want %d", len(report.Records), want)
+	}
+	if last := report.Records[want-1]; last.Cell != "exp2/rda/range/load2/N=6/backlog" {
+		t.Errorf("last record's cell %q, want the backlogged cell", last.Cell)
 	}
 	for _, r := range report.Records {
 		if r.Engine == "" {

@@ -28,6 +28,7 @@ var failoverGridSolvers = []struct {
 	{"ff-incremental", func() retrieval.FailoverSolver { return retrieval.NewFFIncremental() }},
 	{"pr-incremental", func() retrieval.FailoverSolver { return retrieval.NewPRIncremental() }},
 	{"pr-binary", func() retrieval.FailoverSolver { return retrieval.NewPRBinary() }},
+	{"pr-binary-bisect", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryBisect() }},
 	{"pr-binary-blackbox", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryBlackBox() }},
 	{"pr-binary-dinic", func() retrieval.FailoverSolver { return newPRBinaryDinic() }},
 	{"pr-binary-parallel", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryParallel(2) }},

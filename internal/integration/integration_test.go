@@ -74,6 +74,7 @@ func TestCellSolverConsensusAcrossTheMatrix(t *testing.T) {
 		retrieval.NewFFIncremental(),
 		retrieval.NewPRIncremental(),
 		retrieval.NewPRBinary(),
+		retrieval.NewPRBinaryBisect(),
 		retrieval.NewPRBinaryBlackBox(),
 		newPRBinaryDinic(),
 		retrieval.NewPRBinaryParallel(2),

@@ -49,3 +49,54 @@ func TestMinCutBeforeAnyFlow(t *testing.T) {
 		t.Fatal("sink should be reachable with zero flow")
 	}
 }
+
+// TestResidualReachSharedByEveryMaxFlow checks the property the min-cut
+// search relies on: every maximum flow leaves the same residual-reachable
+// set, so engines that reach different maximum flows report one cut. It
+// also checks that ResidualReach returns the reached vertices, s first,
+// and agrees with MinCut.
+func TestResidualReachSharedByEveryMaxFlow(t *testing.T) {
+	rng := xrand.New(77)
+	for trial := 0; trial < 150; trial++ {
+		n := 4 + rng.Intn(25)
+		m := 1 + rng.Intn(4*n)
+		g, s, snk := randomGraph(rng, n, m, 12)
+		h := g.Clone()
+		NewPushRelabel(g).Run(s, snk)
+		NewEdmondsKarp(h).Run(s, snk)
+		reached := make([]bool, n)
+		queue := ResidualReach(g, s, reached, nil)
+		if len(queue) == 0 || queue[0] != int32(s) {
+			t.Fatalf("trial %d: visit order %v does not start at s=%d", trial, queue, s)
+		}
+		count := 0
+		for _, r := range reached {
+			if r {
+				count++
+			}
+		}
+		if count != len(queue) {
+			t.Fatalf("trial %d: %d vertices marked, %d returned", trial, count, len(queue))
+		}
+		other := MinCut(h, s)
+		for v := range reached {
+			if reached[v] != other[v] {
+				t.Fatalf("trial %d: vertex %d reached %v after push-relabel, %v after Edmonds-Karp", trial, v, reached[v], other[v])
+			}
+		}
+	}
+}
+
+// TestResidualReachAllocs: with its slices passed back, the pass
+// allocates nothing.
+func TestResidualReachAllocs(t *testing.T) {
+	g, s, snk := buildFixed()
+	NewPushRelabel(g).Run(s, snk)
+	reached := make([]bool, g.N)
+	queue := make([]int32, 0, g.N)
+	if avg := testing.AllocsPerRun(20, func() {
+		queue = ResidualReach(g, s, reached, queue)
+	}); avg != 0 {
+		t.Errorf("%v allocs per ResidualReach, want 0", avg)
+	}
+}

@@ -12,6 +12,7 @@ func allOptimalSolvers() []Solver {
 		NewFFIncremental(),
 		NewPRIncremental(),
 		NewPRBinary(),
+		NewPRBinaryBisect(),
 		NewPRBinaryBlackBox(),
 		newPRBinaryDinic(),
 		NewPRBinaryParallel(2),

@@ -6,9 +6,10 @@
 // zero the source arcs of the buckets it strands, so they leave the flow
 // target. MarkFailed then re-runs the solver's own search on that
 // network. The conserving binary solver starts it from the flow the last
-// solve left: the drain before each probe (flowgraph.DrainExcess)
-// cancels the failed disk's flow along with whatever else the probe's
-// capacities cut. The incremental walk solvers start their walk over.
+// solve left: the drain before its first run (flowgraph.DrainExcess)
+// cancels the failed disk's flow along with whatever else that run's
+// capacities cut. The min-cut search starts again from t0, the trivial
+// cut's bound under the new mask. The incremental walk solvers start their walk over.
 // Because the search is the one every solve runs, a failure that strands
 // buckets, and so may lower the optimum, needs no separate path (see
 // DESIGN.md §10).

@@ -53,6 +53,7 @@ var failoverSolvers = []struct {
 	{"ff-incremental", func() FailoverSolver { return NewFFIncremental() }},
 	{"pr-incremental", func() FailoverSolver { return NewPRIncremental() }},
 	{"pr-binary", func() FailoverSolver { return NewPRBinary() }},
+	{"pr-binary-bisect", func() FailoverSolver { return NewPRBinaryBisect() }},
 	{"pr-binary-blackbox", func() FailoverSolver { return NewPRBinaryBlackBox() }},
 	{"pr-binary-dinic", func() FailoverSolver { return newPRBinaryDinic() }},
 	{"pr-binary-parallel", func() FailoverSolver { return NewPRBinaryParallel(2) }},

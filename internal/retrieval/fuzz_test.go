@@ -27,7 +27,7 @@ func FuzzSolverConsensus(f *testing.F) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		solvers := []FailoverSolver{NewFFIncremental(), NewPRBinary(), NewPRBinaryBlackBox()}
+		solvers := []FailoverSolver{NewFFIncremental(), NewPRBinary(), NewPRBinaryBisect(), NewPRBinaryBlackBox()}
 		for _, s := range solvers {
 			got, err := s.Solve(p)
 			if err != nil {

@@ -93,8 +93,10 @@ func (*Oracle) SolveMasked(p *Problem, mask *DiskMask) (*Result, error) {
 }
 
 // Solvers returns every generalized-problem solver in the repository,
-// keyed by name: the integrated algorithms, the black-box baseline, the
-// parallel variant (with the given thread count), and the oracle. FFBasic
+// keyed by name: the integrated algorithms (Algorithm 6 as printed is
+// "pr-binary-bisect"; "pr-binary" searches by min-cut jumps), the
+// black-box baseline, the parallel variant (with the given thread
+// count), and the oracle. FFBasic
 // is omitted because it only accepts homogeneous instances; construct it
 // explicitly where the basic problem is intended.
 func Solvers(threads int) map[string]Solver {
@@ -102,6 +104,7 @@ func Solvers(threads int) map[string]Solver {
 		"ff-incremental":     NewFFIncremental(),
 		"pr-incremental":     NewPRIncremental(),
 		"pr-binary":          NewPRBinary(),
+		"pr-binary-bisect":   NewPRBinaryBisect(),
 		"pr-binary-blackbox": NewPRBinaryBlackBox(),
 		"pr-binary-parallel": NewPRBinaryParallel(threads),
 		"oracle":             NewOracle(),

@@ -118,16 +118,20 @@ func (s *PRIncremental) search(res *Result, warm bool) error {
 	return net.finishDegraded(res)
 }
 
-// PRBinary is Algorithm 6: the integrated push-relabel solver with binary
-// capacity scaling. A binary search over candidate response times
-// [tmin, tmax) brings the capacities within N increments of the optimum in
-// O(log |Q|) max-flow runs; the final stretch runs Algorithm 5 from tmin's
-// capacities. Every run starts from the flow the previous run left,
-// drained to the new capacities (flowgraph.DrainExcess), and, when the
-// engine is a resumer, from the heights that run left. The paper's rule
-// instead rolls the flow back to the last infeasible probe's after every
-// feasible one; both rules reach the same bracket and optimum, since a
-// probe's feasibility depends only on its capacities.
+// PRBinary is the integrated push-relabel solver of Algorithm 6, which
+// narrows a bracket of candidate response times by max-flow runs on the
+// one residual network. NewPRBinary runs the min-cut search (cut.go):
+// every short run's minimum cut bounds the optimum from below, and the
+// search jumps straight to that bound. NewPRBinaryBisect and the other
+// constructors run Algorithm 6 as printed: a binary search over
+// [tmin, tmax) brings the capacities within N increments of the optimum
+// in O(log |Q|) max-flow runs, and the final stretch runs Algorithm 5
+// from tmin's capacities. Every run starts from the flow the previous
+// run left, drained to the new capacities (flowgraph.DrainExcess), and,
+// when the engine is a resumer, from the heights that run left. The
+// paper's rule instead rolls the flow back to the last infeasible
+// probe's after every feasible one; both rules reach the same bracket and
+// optimum, since a probe's feasibility depends only on its capacities.
 //
 // With Conserve = false every max-flow run starts from the zero flow — the
 // black-box algorithm of the paper's reference [12], kept as the baseline
@@ -139,7 +143,9 @@ type PRBinary struct {
 	net      network
 	engine   maxflow.Engine
 	resume   resumer // engine's Resume, when it has one and conserve is on
+	minCut   bool    // search by min-cut jumps (cut.go) instead of bisection
 	st       incrementState
+	cut      cutScratch
 }
 
 // resumer is an engine that can start a run from the heights its previous
@@ -149,10 +155,19 @@ type resumer interface {
 	Resume(s, t int) int64
 }
 
-// NewPRBinary returns the integrated Algorithm 6 solver (sequential
-// engine, flow conservation on).
+// NewPRBinary returns the integrated solver the serving stack runs: the
+// sequential engine with flow conservation on, searching by min-cut
+// jumps instead of Algorithm 6's bisection. Its response times equal
+// NewPRBinaryBisect's; it needs fewer max-flow runs, usually one or two.
 func NewPRBinary() *PRBinary {
-	return &PRBinary{name: "pr-binary", factory: SequentialEngine, conserve: true}
+	return &PRBinary{name: "pr-binary", factory: SequentialEngine, conserve: true, minCut: true}
+}
+
+// NewPRBinaryBisect returns Algorithm 6 as the paper prints it:
+// sequential engine, flow conservation on, bisection of the bracket. It
+// is the solver every figure of the reproduction measures.
+func NewPRBinaryBisect() *PRBinary {
+	return &PRBinary{name: "pr-binary-bisect", factory: SequentialEngine, conserve: true}
 }
 
 // NewPRBinaryBlackBox returns the black-box baseline of [12]: identical
@@ -214,10 +229,11 @@ func (s *PRBinary) SolveMaskedInto(p *Problem, mask *DiskMask, res *Result) erro
 }
 
 // MarkFailed implements FailoverSolver: mask the disk in the network the
-// solver holds and search again. The conserving search starts from the
-// flow the last solve left, so its first run's drain cancels the failed
-// disk's flow and keeps the rest. The black box zeroes the flow at every
-// run either way.
+// solver holds and search again; the min-cut search starts over from t0
+// under the new mask. The conserving search starts from the flow the
+// last solve left, so its first run's drain cancels the failed disk's
+// flow and keeps the rest. The black box zeroes the flow at every run
+// either way.
 func (s *PRBinary) MarkFailed(disk int, res *Result) error {
 	if err := s.net.maskDisk(disk); err != nil {
 		return err
@@ -225,10 +241,11 @@ func (s *PRBinary) MarkFailed(disk int, res *Result) error {
 	return s.search(res, false)
 }
 
-// search is Algorithm 6 on the prepared network, the body both entry
-// points run. A warm start or a MarkFailed only changes the flow it
-// starts from: every run below drains (or, in the black box, zeroes)
-// whatever flow the graph carries, the previous solve's included.
+// search runs the solver's search on the prepared network, the body both
+// entry points run: the min-cut search or Algorithm 6's bisection. A warm
+// start or a MarkFailed only changes the flow it starts from: the first
+// run drains (or, in the black box, zeroes) whatever flow the graph
+// carries, the previous solve's included.
 //
 //imflow:noalloc
 func (s *PRBinary) search(res *Result, warm bool) error {
@@ -243,9 +260,27 @@ func (s *PRBinary) search(res *Result, warm bool) error {
 	} else {
 		s.engine.Reset()
 	}
-	engine := s.engine
-	*engine.Metrics() = maxflow.Metrics{}
-	res.Stats = Stats{Engine: engine.Name(), Warm: warm}
+	*s.engine.Metrics() = maxflow.Metrics{}
+	res.Stats = Stats{Engine: s.engine.Name(), Warm: warm}
+	var err error
+	if s.minCut {
+		err = s.searchCut(res)
+	} else {
+		err = s.bisect(res)
+	}
+	if err != nil {
+		return err
+	}
+	res.Stats.Flow = *s.engine.Metrics()
+	return net.finishDegraded(res)
+}
+
+// bisect is Algorithm 6: bisect the bracket, then close the last gap with
+// Algorithm 5's increments.
+//
+//imflow:noalloc
+func (s *PRBinary) bisect(res *Result) error {
+	net := &s.net
 	target := net.target()
 
 	// Bracket the optimum: tmax assumes every bucket is retrieved from the
@@ -316,26 +351,31 @@ func (s *PRBinary) search(res *Result, warm bool) error {
 		flow = s.run()
 		res.Stats.MaxflowRuns++
 	}
-	res.Stats.Flow = *engine.Metrics()
-	return net.finishDegraded(res)
+	return nil
 }
 
 // run is one max-flow run at the capacities just set, audited. The
 // conserving rule drains the flow the previous run left down to those
-// capacities and augments it, resuming from that run's heights when the
-// engine is a resumer; the black box starts from the zero flow.
+// capacities and augments it; the black box starts from the zero flow.
 func (s *PRBinary) run() int64 {
+	if s.conserve {
+		s.net.g.DrainExcess(s.net.s, s.net.t)
+	} else {
+		s.net.g.ZeroFlows()
+	}
+	return s.augment()
+}
+
+// augment runs the engine from the graph's current flow, resuming from
+// the heights of its last run when it is a resumer, and audits the
+// result. The min-cut search calls it directly after raising
+// capacities, which leaves nothing to drain.
+func (s *PRBinary) augment() int64 {
 	net := &s.net
 	var flow int64
-	switch {
-	case !s.conserve:
-		net.g.ZeroFlows()
-		flow = s.engine.Run(net.s, net.t)
-	case s.resume != nil:
-		net.g.DrainExcess(net.s, net.t)
+	if s.resume != nil {
 		flow = s.resume.Resume(net.s, net.t)
-	default:
-		net.g.DrainExcess(net.s, net.t)
+	} else {
 		flow = s.engine.Run(net.s, net.t)
 	}
 	maxflow.Audit(net.g, net.s, net.t)

@@ -62,6 +62,7 @@ func TestPropertyAllSolversMatchOracle(t *testing.T) {
 		NewFFIncremental(),
 		NewPRIncremental(),
 		NewPRBinary(),
+		NewPRBinaryBisect(),
 		NewPRBinaryBlackBox(),
 		newPRBinaryDinic(),
 	}

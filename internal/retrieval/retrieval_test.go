@@ -229,31 +229,45 @@ func TestValidateScheduleCatchesLies(t *testing.T) {
 	}
 }
 
+// TestStatsReportWork checks each search's counters: Algorithm 6's
+// bisection counts binary steps, and the min-cut search counts runs and
+// jumps but never a binary step.
 func TestStatsReportWork(t *testing.T) {
 	rng := xrand.New(9)
 	p := randomProblem(rng, 8, 40, 2)
-	res, err := NewPRBinary().Solve(p)
+	res, err := NewPRBinaryBisect().Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.MaxflowRuns == 0 || res.Stats.BinarySteps == 0 {
-		t.Errorf("stats look empty: %+v", res.Stats)
+		t.Errorf("bisect: stats look empty: %+v", res.Stats)
 	}
 	if res.Stats.Engine == "" {
-		t.Error("engine name missing")
+		t.Error("bisect: engine name missing")
+	}
+	res, err = NewPRBinary().Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.MaxflowRuns == 0 || res.Stats.BinarySteps != 0 {
+		t.Errorf("min-cut search: want runs and no binary steps: %+v", res.Stats)
+	}
+	if res.Stats.Increments != res.Stats.MaxflowRuns-1 {
+		t.Errorf("min-cut search: %d jumps for %d runs, want one fewer", res.Stats.Increments, res.Stats.MaxflowRuns)
 	}
 }
 
 // TestIntegratedDoesLessWorkThanBlackBox checks the paper's core claim at
 // the operation-count level: on instances with many increment steps, the
 // integrated solver performs fewer elementary push operations than the
-// black-box solver, because it never recomputes conserved flow.
+// black-box solver, because it never recomputes conserved flow. Both run
+// Algorithm 6's bisection, so only conservation differs.
 func TestIntegratedDoesLessWorkThanBlackBox(t *testing.T) {
 	rng := xrand.New(123)
 	var intPushes, bbPushes int64
 	for trial := 0; trial < 30; trial++ {
 		p := randomProblem(rng, 10, 120, 2)
-		ri, err := NewPRBinary().Solve(p)
+		ri, err := NewPRBinaryBisect().Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}

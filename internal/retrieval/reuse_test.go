@@ -13,6 +13,7 @@ var reusableSolvers = []func() ReusableSolver{
 	func() ReusableSolver { return NewFFIncremental() },
 	func() ReusableSolver { return NewPRIncremental() },
 	func() ReusableSolver { return NewPRBinary() },
+	func() ReusableSolver { return NewPRBinaryBisect() },
 	func() ReusableSolver { return NewPRBinaryBlackBox() },
 	func() ReusableSolver { return newPRBinaryDinic() },
 	func() ReusableSolver { return NewPRBinaryParallel(2) },
@@ -104,6 +105,7 @@ func TestSolveIntoSteadyStateAllocs(t *testing.T) {
 		{"ff-incremental", func() ReusableSolver { return NewFFIncremental() }},
 		{"pr-incremental", func() ReusableSolver { return NewPRIncremental() }},
 		{"pr-binary", func() ReusableSolver { return NewPRBinary() }},
+		{"pr-binary-bisect", func() ReusableSolver { return NewPRBinaryBisect() }},
 	}
 	p := problemFromSeed(5, false)
 	for _, tc := range cases {

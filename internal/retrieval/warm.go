@@ -22,7 +22,9 @@
 //     flow where a cold one starts from zero. The feasibility of each probe is a
 //     property of the capacities alone (the max-flow value is unique), so
 //     the bracket trajectory, the step counters, and the final response
-//     time are bit-identical to a cold solve. The engine's heights are
+//     time are bit-identical to a cold solve. So are the min-cut search's
+//     thresholds: every maximum flow at one threshold leaves the same
+//     residual-reachable set, hence the same cut and the same jump. The engine's heights are
 //     not carried: Reset drops them at the start of every solve.
 //   - The incremental walk solvers (FFIncremental, PRIncremental) and
 //     FFBasic: the build only. Their walk must start from zero

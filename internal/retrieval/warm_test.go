@@ -254,6 +254,7 @@ func TestWarmSteadyStateAllocs(t *testing.T) {
 		{"ff-incremental", func() ReusableSolver { return NewFFIncremental() }},
 		{"pr-incremental", func() ReusableSolver { return NewPRIncremental() }},
 		{"pr-binary", func() ReusableSolver { return NewPRBinary() }},
+		{"pr-binary-bisect", func() ReusableSolver { return NewPRBinaryBisect() }},
 	}
 	p := problemFromSeed(5, false)
 	for _, tc := range cases {
