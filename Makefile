@@ -23,23 +23,26 @@ test:
 	$(GO) test ./...
 
 ## race: race-detector stress over the lock-free solver, its callers,
-## the sharded serving layer, the HTTP front end, the imflow-serve
+## the sharded serving layer, the HTTP front end, and the imflow-serve
 ## command (its SIGTERM test drives the whole front end through both
-## Shutdowns), and the analysis framework's driver tests.
+## Shutdowns).
 race:
-	$(GO) test -race ./internal/maxflow/... ./internal/retrieval/... ./internal/serve/... ./internal/httpd/... ./internal/sim/... ./internal/fault/... ./internal/analysis/... ./cmd/imflow-serve/
+	$(GO) test -race ./internal/maxflow/... ./internal/retrieval/... ./internal/serve/... ./internal/httpd/... ./internal/sim/... ./internal/fault/... ./cmd/imflow-serve/
 
-## lint: the repository's twelve custom analyzers (microsfloat, satarith,
-## sattaint, atomicfield, lockguard, noalloc, erruse, directive, plus the
-## module-level transitive noalloc, detpath, lockorder, and ctxleak) and a
-## curated go vet set — see cmd/imflow-lint (`-list` prints the roster).
-## `-json` emits the machine-readable record stream.
+## lint: the repository's seven custom analyzers (sattaint, lockguard,
+## noalloc, erruse, directive, plus the module-level transitive noalloc
+## and ctxleak), each kept because it catches a seeded bug no test, vet
+## or race run does (DESIGN.md §7). The roster lives in
+## internal/analysis/roster; `-list` prints it, `-json` emits the
+## machine-readable record stream. `make vet` is the go vet gate.
 lint:
 	$(GO) run ./cmd/imflow-lint ./...
 
-## lint-baseline: the CI regression gate — fail only on findings that are
-## new relative to the committed lint_baseline.json (matched by file,
-## analyzer, and message, so line drift does not churn the gate).
+## lint-baseline: the CI regression gate — fail when the findings,
+## suppressed ones included, differ from the committed lint_baseline.json
+## in either direction: a new finding fails, and so does a stale record
+## no current finding matches. Records match by file, analyzer and
+## message, so line drift does not churn the gate.
 lint-baseline:
 	$(GO) run ./cmd/imflow-lint -baseline lint_baseline.json ./...
 

@@ -9,14 +9,9 @@
 // export data that `go list -export` materializes in the build cache, so
 // loading works offline and never compiles anything twice.
 //
-// The analyzers in the subpackages enforce the repository's two mechanical
-// invariants (see DESIGN.md "Correctness tooling"):
-//
-//   - microsfloat: the integer-microsecond core must stay float-free;
-//   - atomicfield: fields documented "(atomic)" may only be touched
-//     through sync/atomic outside quiescent code.
-//
-// cmd/imflow-lint is the multichecker-style driver that runs them all.
+// The analyzers live in the subpackages, the roster subpackage lists
+// them once (see DESIGN.md "Correctness tooling"), and cmd/imflow-lint is
+// the multichecker-style driver that runs them all.
 package analysis
 
 import (
@@ -25,10 +20,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Analyzer describes one static check.
@@ -82,94 +73,27 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Run applies every analyzer to every package and returns all diagnostics
-// sorted by file position.
+// Run applies every analyzer to every package, one package at a time,
+// and returns all diagnostics in SortDiagnostics order.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	diags, _, err := RunParallel(analyzers, pkgs, 1)
-	return diags, err
-}
-
-// Timings is the cumulative wall time each analyzer spent, summed across
-// packages (and across workers in a parallel run).
-type Timings map[string]time.Duration
-
-// Add merges other into t.
-func (t Timings) Add(other Timings) {
-	for name, d := range other {
-		t[name] += d
-	}
-}
-
-// RunParallel is Run sharded across at most workers goroutines. The
-// package is the unit of work — analyzers run serially within one
-// package, so no Pass or diagnostic slice is ever shared between
-// goroutines; the shared FileSet and types.Info are only read (FileSet
-// position lookups are internally locked). Per-package diagnostic slices
-// are merged and re-sorted under SortDiagnostics' total order, so the
-// output is byte-identical to a serial run regardless of worker count or
-// scheduling.
-func RunParallel(analyzers []*Analyzer, pkgs []*Package, workers int) ([]Diagnostic, Timings, error) {
-	timings := Timings{}
-	if len(pkgs) == 0 {
-		return nil, timings, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	perPkg := make([][]Diagnostic, len(pkgs))
-	perWorker := make([]Timings, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		perWorker[w] = Timings{}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pkgs) {
-					return
-				}
-				pkg := pkgs[i]
-				for _, a := range analyzers {
-					pass := &Pass{
-						Analyzer: a,
-						Fset:     pkg.Fset,
-						Files:    pkg.Files,
-						Pkg:      pkg.Types,
-						Info:     pkg.Info,
-						diags:    &perPkg[i],
-					}
-					start := time.Now()
-					err := a.Run(pass)
-					perWorker[w][a.Name] += time.Since(start)
-					if err != nil {
-						errs[w] = fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
-						return
-					}
-				}
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				diags:    &diags,
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
+			}
 		}
 	}
-	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
-	}
-	for _, t := range perWorker {
-		timings.Add(t)
-	}
 	SortDiagnostics(diags)
-	return diags, timings, nil
+	return diags, nil
 }
 
 // SortDiagnostics orders findings by position, then analyzer, then
@@ -197,7 +121,7 @@ func SortDiagnostics(diags []Diagnostic) {
 }
 
 // HasDirective reports whether the comment group contains the given
-// directive comment (exact line, e.g. "//imflow:floatfree"). Directive
+// directive comment (exact line, e.g. "//imflow:noalloc"). Directive
 // lines follow the Go convention //tool:verb — no space after the slashes
 // — so go/doc hides them from rendered documentation.
 func HasDirective(doc *ast.CommentGroup, directive string) bool {
@@ -206,37 +130,6 @@ func HasDirective(doc *ast.CommentGroup, directive string) bool {
 	}
 	for _, c := range doc.List {
 		if c.Text == directive {
-			return true
-		}
-	}
-	return false
-}
-
-// DirectiveArg looks in the comment group for a directive that carries a
-// free-text argument after the verb ("//imflow:detsafe <reason>") and
-// returns the argument. found distinguishes a present-but-empty argument
-// ("//imflow:detsafe" alone, which the directive analyzer rejects) from an
-// absent directive.
-func DirectiveArg(doc *ast.CommentGroup, directive string) (arg string, found bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		if c.Text == directive {
-			return "", true
-		}
-		if rest, ok := strings.CutPrefix(c.Text, directive+" "); ok {
-			return strings.TrimSpace(rest), true
-		}
-	}
-	return "", false
-}
-
-// FileHasDirective reports whether any comment group anywhere in the file
-// contains the directive.
-func FileHasDirective(f *ast.File, directive string) bool {
-	for _, cg := range f.Comments {
-		if HasDirective(cg, directive) {
 			return true
 		}
 	}

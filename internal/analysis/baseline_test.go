@@ -20,7 +20,7 @@ func TestDiffBaseline(t *testing.T) {
 	baseline := []analysis.Record{
 		rec("a.go", "noalloc", "make allocates", 10),
 		rec("a.go", "noalloc", "make allocates", 20), // same key twice: multiset
-		rec("b.go", "lockorder", "cycle", 5),
+		rec("b.go", "lockguard", "unguarded read", 5),
 		{File: "c.go", Line: 1, Col: 1, Analyzer: "ctxleak", Message: "quiet", Suppressed: true, Reason: "reviewed"},
 	}
 	current := []analysis.Record{
@@ -56,7 +56,7 @@ func TestDiffBaselineMultiplicity(t *testing.T) {
 func TestDiffBaselineUnchanged(t *testing.T) {
 	recs := []analysis.Record{
 		rec("a.go", "noalloc", "make allocates", 10),
-		rec("b.go", "lockorder", "cycle", 5),
+		rec("b.go", "lockguard", "unguarded read", 5),
 	}
 	newFindings, fixed := analysis.DiffBaseline(recs, recs)
 	if len(newFindings) != 0 || len(fixed) != 0 {
@@ -87,7 +87,7 @@ func TestAcceptPrunesStaleEntries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	acceptInto(t, path, []analysis.Record{
 		rec("a.go", "noalloc", "make allocates", 10),
-		rec("b.go", "lockorder", "cycle", 5), // about to be fixed
+		rec("b.go", "lockguard", "unguarded read", 5), // about to be fixed
 	})
 	current := []analysis.Record{rec("a.go", "noalloc", "make allocates", 10)}
 	acceptInto(t, path, current)
@@ -99,7 +99,7 @@ func TestAcceptPrunesStaleEntries(t *testing.T) {
 		t.Fatalf("refreshed baseline = %v, want only the surviving a.go entry", refreshed)
 	}
 	// The pruned finding coming back must read as new, not as baselined.
-	regressed := append(current, rec("b.go", "lockorder", "cycle", 6))
+	regressed := append(current, rec("b.go", "lockguard", "unguarded read", 6))
 	newFindings, _ := analysis.DiffBaseline(regressed, refreshed)
 	if len(newFindings) != 1 || newFindings[0].File != "b.go" {
 		t.Fatalf("newFindings = %v, want the regressed b.go finding", newFindings)
@@ -112,7 +112,7 @@ func TestAcceptPrunesStaleEntries(t *testing.T) {
 func TestDiffBaselineDeletedFile(t *testing.T) {
 	baseline := []analysis.Record{
 		rec("gone.go", "noalloc", "make allocates", 3),
-		rec("gone.go", "satarith", "raw +", 9),
+		rec("gone.go", "sattaint", "raw +", 9),
 		rec("kept.go", "noalloc", "make allocates", 4),
 	}
 	current := []analysis.Record{rec("kept.go", "noalloc", "make allocates", 4)}
@@ -141,7 +141,7 @@ func TestDiffBaselineDeletedFile(t *testing.T) {
 // different messages) are matched as distinct keys, not collapsed.
 func TestDiffBaselineDuplicatePosition(t *testing.T) {
 	baseline := []analysis.Record{
-		rec("a.go", "satarith", "raw +", 10),
+		rec("a.go", "noalloc", "make allocates", 10),
 		rec("a.go", "sattaint", "raw + on a tainted value", 10),
 	}
 	// Both still present: clean diff in both directions.
@@ -150,7 +150,7 @@ func TestDiffBaselineDuplicatePosition(t *testing.T) {
 		t.Fatalf("same-position records did not self-match: new=%v fixed=%v", newFindings, fixed)
 	}
 	// Fixing only one of the co-located findings reports exactly it.
-	current := []analysis.Record{rec("a.go", "satarith", "raw +", 10)}
+	current := []analysis.Record{rec("a.go", "noalloc", "make allocates", 10)}
 	newFindings, fixed = analysis.DiffBaseline(current, baseline)
 	if len(newFindings) != 0 || len(fixed) != 1 || fixed[0].Analyzer != "sattaint" {
 		t.Fatalf("new=%v fixed=%v, want only the sattaint entry fixed", newFindings, fixed)

@@ -1,9 +1,9 @@
 // Package dataflow is the intraprocedural dataflow engine the
-// flow-sensitive analyzers (sattaint, erruse, detpath's site collection)
-// are built on. Where the syntactic analyzers in sibling packages inspect
-// one expression at a time, this engine answers the question "can a value
-// with property P reach this expression?" by propagating facts through
-// the assignment structure of a package to a fixpoint:
+// flow-sensitive sattaint analyzer is built on. Where the syntactic
+// analyzers in sibling packages inspect one expression at a time, this
+// engine answers the question "can a value with property P reach this
+// expression?" by propagating facts through the assignment structure of
+// a package to a fixpoint:
 //
 //   - plain and short-variable assignments (x = e, x := e), including
 //     tuple forms fed by multi-result calls;

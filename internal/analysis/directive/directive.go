@@ -1,9 +1,9 @@
 // Package directive implements the analyzer that keeps the annotation
-// language itself honest. Every other analyzer in the roster is armed or
-// disarmed by //imflow:<verb> comments, which makes a typo'd directive
-// the worst kind of bug: the code compiles, the lint run passes, and the
-// invariant the author believed they declared is simply not enforced.
-// This analyzer reports:
+// language itself honest. noalloc and lockguard are armed or disarmed by
+// //imflow:<verb> comments, which makes a typo'd directive the worst kind
+// of bug: the code compiles, the lint run passes, and the invariant the
+// author believed they declared is simply not enforced. This analyzer
+// reports:
 //
 //   - an unknown verb (//imflow:noaloc) — the directive arms nothing;
 //   - the inert near-miss "// imflow:..." — a space after the slashes
@@ -12,13 +12,8 @@
 //     parentheses, or trailing text after a no-argument directive
 //     (directives are matched as whole comment lines, so trailing text
 //     disarms them);
-//   - //imflow:detsafe with no reason — the boundary claim is only
-//     reviewable when the why is stated on the directive itself;
-//   - a function-only directive (noalloc, allocok, locked, quiescent,
-//     floatboundary, det, detsafe) that is not attached to a function
-//     declaration's doc comment;
-//   - //imflow:det and //imflow:detsafe on the same function — a
-//     deterministic root cannot be its own reviewed boundary;
+//   - a directive (noalloc, allocok, locked) that is not attached to a
+//     function declaration's doc comment;
 //   - //imflow:locked(<guard>) naming a guard that is not a field of the
 //     method's receiver struct — a dangling claim lockguard would
 //     silently accept as "some other lock".
@@ -46,44 +41,18 @@ var Analyzer = &analysis.Analyzer{
 
 const prefix = "//imflow:"
 
-// argKind describes what, if anything, follows a directive verb.
-type argKind int
-
-const (
-	argNone   argKind = iota // the verb alone, whole-line
-	argParen                 // verb(<ident>), e.g. locked(mu)
-	argReason                // verb <free text>, mandatory, e.g. detsafe <why>
-)
-
-// verbs maps each known directive verb to its argument grammar.
-var verbs = map[string]argKind{
-	"floatfree":     argNone,
-	"floatboundary": argNone,
-	"quiescent":     argNone,
-	"noalloc":       argNone,
-	"allocok":       argNone,
-	"det":           argNone,
-	"locked":        argParen,
-	"detsafe":       argReason,
-}
-
-// funcOnly lists the verbs whose analyzers only read function doc
-// comments; anywhere else they are decoration.
-var funcOnly = map[string]bool{
-	"floatboundary": true,
-	"quiescent":     true,
-	"noalloc":       true,
-	"allocok":       true,
-	"locked":        true,
-	"det":           true,
-	"detsafe":       true,
+// verbs maps each known directive verb to whether it takes a
+// parenthesized argument (locked(mu)); the others stand alone. Their
+// analyzers read only function doc comments.
+var verbs = map[string]bool{
+	"noalloc": false,
+	"allocok": false,
+	"locked":  true,
 }
 
 var lockedForm = regexp.MustCompile(`^locked\(([A-Za-z_]\w*)\)$`)
 
-func knownList() string {
-	return "allocok, det, detsafe <reason>, floatboundary, floatfree, locked(<field>), noalloc, quiescent"
-}
+const knownList = "allocok, locked(<field>), noalloc"
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -98,7 +67,6 @@ func run(pass *analysis.Pass) error {
 			for _, c := range fd.Doc.List {
 				owner[c] = fd
 			}
-			checkConflicts(pass, fd)
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -107,18 +75,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// checkConflicts reports a function declared both deterministic root and
-// determinism boundary: detpath would start a walk at a node it also
-// refuses to look inside.
-func checkConflicts(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if !analysis.HasDirective(fd.Doc, prefix+"det") {
-		return
-	}
-	if _, boundary := analysis.DirectiveArg(fd.Doc, prefix+"detsafe"); boundary {
-		pass.Reportf(fd.Doc.Pos(), "%s and %sdetsafe on the same function: a deterministic root cannot be its own boundary", prefix+"det", prefix)
-	}
 }
 
 func checkComment(pass *analysis.Pass, c *ast.Comment, fd *ast.FuncDecl) {
@@ -134,42 +90,29 @@ func checkComment(pass *analysis.Pass, c *ast.Comment, fd *ast.FuncDecl) {
 	if i := strings.IndexAny(rest, "( \t"); i >= 0 {
 		verb = rest[:i]
 	}
-	kind, known := verbs[verb]
+	paren, known := verbs[verb]
 	if !known {
-		pass.Reportf(c.Pos(), "unknown directive %s%s (known verbs: %s)", prefix, verb, knownList())
+		pass.Reportf(c.Pos(), "unknown directive %s%s (known verbs: %s)", prefix, verb, knownList)
 		return
 	}
-	switch kind {
-	case argParen:
+	var guard string
+	if paren {
 		m := lockedForm.FindStringSubmatch(rest)
 		if m == nil {
 			pass.Reportf(c.Pos(), "malformed %s%s directive: expected %slocked(<field>)", prefix, rest, prefix)
 			return
 		}
-		checkPlacement(pass, c, verb, fd)
-		if fd != nil {
-			checkLockedGuard(pass, c, m[1], fd)
-		}
-	case argReason:
-		if strings.TrimSpace(strings.TrimPrefix(rest, verb)) == "" {
-			pass.Reportf(c.Pos(), "%s%s needs a mandatory reason: the boundary claim is only reviewable with the why on the directive", prefix, verb)
-			return
-		}
-		checkPlacement(pass, c, verb, fd)
-	default:
-		if rest != verb {
-			pass.Reportf(c.Pos(), "malformed %s%s directive: trailing %q disarms it (directives match as whole comment lines)", prefix, verb, strings.TrimPrefix(rest, verb))
-			return
-		}
-		checkPlacement(pass, c, verb, fd)
+		guard = m[1]
+	} else if rest != verb {
+		pass.Reportf(c.Pos(), "malformed %s%s directive: trailing %q disarms it (directives match as whole comment lines)", prefix, verb, strings.TrimPrefix(rest, verb))
+		return
 	}
-}
-
-// checkPlacement reports func-only directives that are not attached to a
-// function declaration's doc comment.
-func checkPlacement(pass *analysis.Pass, c *ast.Comment, verb string, fd *ast.FuncDecl) {
-	if funcOnly[verb] && fd == nil {
+	if fd == nil {
 		pass.Reportf(c.Pos(), "%s%s must be in a function declaration's doc comment; here it arms nothing", prefix, verb)
+		return
+	}
+	if paren {
+		checkLockedGuard(pass, c, guard, fd)
 	}
 }
 

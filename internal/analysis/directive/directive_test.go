@@ -9,13 +9,12 @@ import (
 
 // TestBrokenDirectives proves every grammar violation is reported: an
 // unknown verb, the inert "// imflow:" near-miss, a malformed locked
-// form, trailing text after a verb, a func-only directive off a function
-// declaration, locked on a free function, a dangling locked guard, a
-// reasonless detsafe, a det+detsafe conflict, and det off a function.
+// form, trailing text after a verb, locked on a free function, a
+// dangling locked guard, and a directive off a function declaration.
 func TestBrokenDirectives(t *testing.T) {
 	diags := analyzertest.Run(t, directive.Analyzer, "testdata/dirbad")
-	if len(diags) != 10 {
-		t.Fatalf("dirbad fixture produced %d diagnostics, want 10:\n%v", len(diags), diags)
+	if len(diags) != 7 {
+		t.Fatalf("dirbad fixture produced %d diagnostics, want 7:\n%v", len(diags), diags)
 	}
 }
 

@@ -11,7 +11,7 @@ type S struct {
 	n  int
 }
 
-// want+2 "unknown directive //imflow:noaloc \(known verbs: allocok, det, detsafe <reason>, floatboundary, floatfree, locked\(<field>\), noalloc, quiescent\)"
+// want+2 "unknown directive //imflow:noaloc \(known verbs: allocok, locked\(<field>\), noalloc\)"
 //
 //imflow:noaloc
 func typod() {}
@@ -40,23 +40,7 @@ func (s *S) dangling() { s.n++ }
 //imflow:locked(mu)
 func floating() {}
 
-// want+2 "//imflow:quiescent must be in a function declaration's doc comment; here it arms nothing"
+// want+2 "//imflow:noalloc must be in a function declaration's doc comment; here it arms nothing"
 //
-//imflow:quiescent
+//imflow:noalloc
 var misplaced = 0
-
-// want+2 "//imflow:detsafe needs a mandatory reason"
-//
-//imflow:detsafe
-func unreviewed() {}
-
-// want "det and //imflow:detsafe on the same function: a deterministic root cannot be its own boundary"
-//
-//imflow:det
-//imflow:detsafe the walk must not descend here
-func conflicted() {}
-
-// want+2 "//imflow:det must be in a function declaration's doc comment; here it arms nothing"
-//
-//imflow:det
-var misplacedDet = 0

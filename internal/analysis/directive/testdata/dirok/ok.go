@@ -4,8 +4,6 @@ package dirok
 
 import "sync"
 
-//imflow:floatfree
-
 type S struct {
 	mu sync.Mutex
 	n  int // guarded by mu
@@ -25,17 +23,3 @@ func hot() int { return 1 }
 
 //imflow:allocok
 func cold() []int { return make([]int, 1) }
-
-//imflow:quiescent
-func quiet() {}
-
-//imflow:floatboundary
-func boundary() float64 { return 0 }
-
-//imflow:det
-func replayable() int { return 1 }
-
-// shielded wraps nondeterminism the walk must not descend into.
-//
-//imflow:detsafe internal races cannot reach the returned value
-func shielded() int { return 2 }

@@ -8,31 +8,11 @@ import (
 	"testing"
 
 	"imflow/internal/analysis"
-	"imflow/internal/analysis/atomicfield"
-	"imflow/internal/analysis/callgraph"
-	"imflow/internal/analysis/ctxleak"
-	"imflow/internal/analysis/detpath"
-	"imflow/internal/analysis/directive"
-	"imflow/internal/analysis/erruse"
-	"imflow/internal/analysis/lockguard"
-	"imflow/internal/analysis/lockorder"
-	"imflow/internal/analysis/microsfloat"
-	"imflow/internal/analysis/noalloc"
-	"imflow/internal/analysis/satarith"
+	"imflow/internal/analysis/roster"
 	"imflow/internal/analysis/sattaint"
 )
 
-// knownNames mirrors the driver's roster-name set for FilterSuppressed.
-func knownNames() map[string]bool {
-	return map[string]bool{
-		"microsfloat": true, "satarith": true, "sattaint": true,
-		"atomicfield": true, "lockguard": true, "noalloc": true,
-		"erruse": true, "directive": true, "lockorder": true,
-		"ctxleak": true, "detpath": true, "suppress": true,
-	}
-}
-
-// suppressFixture runs satarith over testdata/suppress and returns the
+// suppressFixture runs sattaint over testdata/suppress and returns the
 // FilterSuppressed split the driver would see.
 func suppressFixture(t *testing.T) (active []analysis.Diagnostic, suppressed []analysis.Suppressed) {
 	t.Helper()
@@ -41,11 +21,11 @@ func suppressFixture(t *testing.T) (active []analysis.Diagnostic, suppressed []a
 		t.Fatalf("LoadDir: %v", err)
 	}
 	pkgs := []*analysis.Package{pkg}
-	diags, err := analysis.Run([]*analysis.Analyzer{satarith.Analyzer}, pkgs)
+	diags, err := analysis.Run([]*analysis.Analyzer{sattaint.Analyzer}, pkgs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return analysis.FilterSuppressed(pkgs, diags, knownNames())
+	return analysis.FilterSuppressed(pkgs, diags, roster.Names())
 }
 
 // TestSuppressionForms pins the suppression grammar: the standalone and
@@ -74,8 +54,8 @@ func TestSuppressionForms(t *testing.T) {
 	for _, d := range active {
 		byAnalyzer[d.Analyzer]++
 	}
-	if byAnalyzer["satarith"] != 3 || byAnalyzer["suppress"] != 2 {
-		t.Fatalf("active analyzer counts = %v, want map[satarith:3 suppress:2]", byAnalyzer)
+	if byAnalyzer["sattaint"] != 3 || byAnalyzer["suppress"] != 2 {
+		t.Fatalf("active analyzer counts = %v, want map[sattaint:3 suppress:2]", byAnalyzer)
 	}
 }
 
@@ -135,8 +115,8 @@ func TestJSONOutputStable(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean mirrors the CI gate: the full analyzer roster over the
-// whole module must produce no active findings.
+// TestRepoIsClean: the per-package roster over the whole module must
+// produce no active findings.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load is slow; skipped in -short")
@@ -149,21 +129,11 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	roster := []*analysis.Analyzer{
-		microsfloat.Analyzer,
-		satarith.Analyzer,
-		sattaint.Analyzer,
-		atomicfield.Analyzer,
-		lockguard.Analyzer,
-		noalloc.Analyzer,
-		erruse.Analyzer,
-		directive.Analyzer,
-	}
-	diags, err := analysis.Run(roster, pkgs)
+	diags, err := analysis.Run(roster.Packages, pkgs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	active, _ := analysis.FilterSuppressed(pkgs, diags, knownNames())
+	active, _ := analysis.FilterSuppressed(pkgs, diags, roster.Names())
 	for _, d := range active {
 		t.Errorf("unexpected finding: %s", d)
 	}
@@ -187,36 +157,11 @@ func TestRepoMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	roster := []*analysis.Analyzer{
-		microsfloat.Analyzer,
-		satarith.Analyzer,
-		sattaint.Analyzer,
-		atomicfield.Analyzer,
-		lockguard.Analyzer,
-		noalloc.Analyzer,
-		erruse.Analyzer,
-		directive.Analyzer,
-	}
-	diags, err := analysis.Run(roster, pkgs)
+	diags, err := roster.Run(pkgs, nil)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("roster.Run: %v", err)
 	}
-	graph, err := callgraph.Build(pkgs)
-	if err != nil {
-		t.Fatalf("callgraph.Build: %v", err)
-	}
-	moduleDiags, err := callgraph.Run([]*callgraph.Analyzer{
-		noalloc.Transitive,
-		detpath.Analyzer,
-		lockorder.Analyzer,
-		ctxleak.Analyzer,
-	}, graph)
-	if err != nil {
-		t.Fatalf("callgraph.Run: %v", err)
-	}
-	diags = append(diags, moduleDiags...)
-	analysis.SortDiagnostics(diags)
-	active, suppressed := analysis.FilterSuppressed(pkgs, diags, knownNames())
+	active, suppressed := analysis.FilterSuppressed(pkgs, diags, roster.Names())
 	records := analysis.Records(root, active, suppressed)
 	baseline, err := analysis.ReadBaseline(filepath.Join(root, "lint_baseline.json"))
 	if err != nil {

@@ -1,29 +1,36 @@
-// Package sattaint implements the flow-sensitive upgrade of satarith.
+// Package sattaint implements the analyzer that keeps cost.Micros
+// arithmetic saturating outside the cost package itself.
 //
-// satarith's rule is syntactic: raw `+`/`-`/`*` with a cost.Micros
-// operand must go through the cost.Sat* helpers. That leaves a hole the
-// size of one conversion — `int64(m) + x` or `time.Duration(m) * 1000`
-// launders the Micros value into a plain int64-underlying type whose
-// arithmetic wraps silently, defeating the clamp-at-cost.Max discipline
-// the conversion's source was protected by (a Micros clamped at Max and
-// then multiplied wraps negative and compares as "earlier than
-// everything", the exact failure mode DESIGN.md §2 exists to prevent).
+// DESIGN.md's overflow rule (§2) is that every sum, difference and
+// product of cost.Micros values goes through cost.SatAdd, cost.SatSub and
+// cost.SatMul, which clamp at cost.Max/cost.Min instead of wrapping: a
+// completion time that does not fit the representation must compare as
+// "later than everything", never as a small wrapped value that fabricates
+// capacity in floor((t-D-X)/C). The analyzer reports raw `+`, `-` and `*`
+// (and the compound `+=`, `-=`, `*=` and `++`/`--` forms) in two shapes:
 //
-// sattaint closes the hole with the dataflow engine: any conversion of a
-// cost.Micros value to a non-Micros type whose underlying type is int64
-// is a taint source, the taint propagates through assignments, struct
-// fields, containers, and intra-package calls/returns, and raw `+`, `-`,
-// `*` (plus the compound and ++/-- forms) on a tainted value is
-// reported. The division/shift/comparison and constant-folding
-// exemptions mirror satarith, as does the cost-package exemption; sites
-// where either operand is Micros itself are satarith's findings, not
-// repeated here. Cross-package flows are not tracked (the engine's
-// documented caveat), so a Micros laundered through an exported helper's
-// int64 result in another package is invisible — keep such helpers
-// returning Micros.
+//   - a cost.Micros operand or location — the type alone says the value
+//     is a time;
+//   - a value laundered out of cost.Micros — `int64(m) + x` or
+//     `time.Duration(m) * 1000` converts the Micros into a plain
+//     int64-underlying type whose arithmetic wraps silently. Any such
+//     conversion is a taint source for the dataflow engine, and the taint
+//     propagates through assignments, struct fields, containers, and
+//     intra-package calls and returns. Cross-package flows are not
+//     tracked (the engine's documented caveat), so a Micros laundered
+//     through an exported helper's int64 result in another package is
+//     invisible — keep such helpers returning Micros.
 //
-// Provably in-range arithmetic opts out per line with a reasoned
-// `//lint:ignore sattaint <why>`.
+// Division, shifts and comparisons are exempt: they cannot overflow
+// int64 (the lone exception, Min / -1, cannot arise because validated
+// times are non-negative). Constant expressions are exempt: the compiler
+// already rejects overflowing constant arithmetic at build time. The cost
+// package itself is exempt — it is where the saturating helpers are
+// implemented, and its wrap-checks are the point.
+//
+// Sites where wrap is provably impossible (e.g. a difference of two
+// values already clamped to the same range) opt out per line with a
+// reasoned `//lint:ignore sattaint <why>` suppression.
 package sattaint
 
 import (
@@ -35,11 +42,10 @@ import (
 	"imflow/internal/analysis/dataflow"
 )
 
-// costPath is the package allowed to do raw arithmetic on its own
-// representation.
+// costPath is the one package allowed to do raw Micros arithmetic.
 const costPath = "imflow/internal/cost"
 
-// helper maps a flagged operator to the suggested saturating replacement.
+// helper maps a flagged operator to the saturating replacement.
 var helper = map[token.Token]string{
 	token.ADD:        "cost.SatAdd",
 	token.SUB:        "cost.SatSub",
@@ -54,7 +60,7 @@ var helper = map[token.Token]string{
 // Analyzer is the sattaint analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "sattaint",
-	Doc:  "raw +/-/* on a cost.Micros-derived int64 wraps on overflow; keep the value in cost.Micros and use the Sat* helpers",
+	Doc:  "raw +/-/* on cost.Micros, or on an int64 laundered out of it, wraps on overflow; use cost.SatAdd/SatSub/SatMul",
 	Run:  run,
 }
 
@@ -81,41 +87,42 @@ func run(pass *analysis.Pass) error {
 		Types:      pass.Pkg,
 		Info:       pass.Info,
 	}, Config())
+	report := func(pos token.Pos, op token.Token, micros bool) {
+		if micros {
+			pass.Reportf(pos, "raw %s on cost.Micros can wrap; use %s", op, helper[op])
+		} else {
+			pass.Reportf(pos, "raw %s on a cost.Micros-derived value can wrap; do the arithmetic in cost.Micros with %s", op, helper[op])
+		}
+	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
-				name, flagged := helper[n.Op]
-				if !flagged {
-					return true
-				}
-				// Micros-typed operands are satarith's findings.
-				if isMicros(pass.TypeOf(n.X)) || isMicros(pass.TypeOf(n.Y)) {
+				if _, flagged := helper[n.Op]; !flagged {
 					return true
 				}
 				if tv, ok := pass.Info.Types[n]; ok && tv.Value != nil {
 					return true // constant-folded: the compiler checks overflow
 				}
-				if taint.Tainted(n.X) || taint.Tainted(n.Y) {
-					pass.Reportf(n.OpPos, "raw %s on a cost.Micros-derived value can wrap; do the arithmetic in cost.Micros with %s", n.Op, name)
+				if isMicros(pass.TypeOf(n.X)) || isMicros(pass.TypeOf(n.Y)) {
+					report(n.OpPos, n.Op, true)
+				} else if taint.Tainted(n.X) || taint.Tainted(n.Y) {
+					report(n.OpPos, n.Op, false)
 				}
 			case *ast.AssignStmt:
-				name, flagged := helper[n.Tok]
-				if !flagged || len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+				if _, flagged := helper[n.Tok]; !flagged || len(n.Lhs) != 1 || len(n.Rhs) != 1 {
 					return true
 				}
 				if isMicros(pass.TypeOf(n.Lhs[0])) {
-					return true
-				}
-				if taint.LValueTainted(n.Lhs[0]) || taint.Tainted(n.Rhs[0]) {
-					pass.Reportf(n.TokPos, "raw %s on a cost.Micros-derived value can wrap; do the arithmetic in cost.Micros with %s", n.Tok, name)
+					report(n.TokPos, n.Tok, true)
+				} else if taint.LValueTainted(n.Lhs[0]) || taint.Tainted(n.Rhs[0]) {
+					report(n.TokPos, n.Tok, false)
 				}
 			case *ast.IncDecStmt:
 				if isMicros(pass.TypeOf(n.X)) {
-					return true
-				}
-				if taint.LValueTainted(n.X) {
-					pass.Reportf(n.TokPos, "raw %s on a cost.Micros-derived value can wrap; do the arithmetic in cost.Micros with %s", n.Tok, helper[n.Tok])
+					report(n.TokPos, n.Tok, true)
+				} else if taint.LValueTainted(n.X) {
+					report(n.TokPos, n.Tok, false)
 				}
 			}
 			return true

@@ -1,5 +1,5 @@
-// Package sattaint is the want-fixture for the flow-sensitive Micros
-// taint analyzer.
+// Package sattaint is the want-fixture for the flow-sensitive half of
+// sattaint: Micros values laundered into plain int64-underlying types.
 package sattaint
 
 import (
@@ -30,15 +30,15 @@ func flows(m cost.Micros, plain int64) {
 	sum := d + plain // want "raw \+ on a cost.Micros-derived value can wrap"
 	_ = sum
 
-	// Micros-typed operands are satarith's domain, not repeated here.
-	var mm cost.Micros = m + 1 // satarith's finding, not sattaint's: no want here
+	// A Micros-typed operand is reported once, with the Micros message.
+	var mm cost.Micros = m + 1 // want "raw \+ on cost.Micros can wrap; use cost.SatAdd"
 	_ = mm
 
 	// Named int64-underlying types carry the taint.
 	dur := time.Duration(m)
 	dur *= 2 // want "raw \*= on a cost.Micros-derived value can wrap"
 
-	// Division and comparisons cannot wrap: exempt, mirroring satarith.
+	// Division and comparisons cannot wrap: exempt.
 	half := d / 2
 	_ = half
 	if d > plain {

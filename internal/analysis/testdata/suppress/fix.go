@@ -8,19 +8,19 @@ import "imflow/internal/cost"
 
 // standalone is silenced by a comment on the line above.
 func standalone(a, b cost.Micros) cost.Micros {
-	//lint:ignore satarith fixture: standalone suppression form
+	//lint:ignore sattaint fixture: standalone suppression form
 	return a + b
 }
 
 // inline is silenced by a comment on the same line.
 func inline(a, b cost.Micros) cost.Micros {
-	return a - b //lint:ignore satarith fixture: end-of-line suppression form
+	return a - b //lint:ignore sattaint fixture: end-of-line suppression form
 }
 
 // reasonless omits the mandatory reason: the finding below stays active
 // and the comment itself becomes a second, malformed-suppression finding.
 func reasonless(a, b cost.Micros) cost.Micros {
-	//lint:ignore satarith
+	//lint:ignore sattaint
 	return a * b
 }
 
@@ -33,6 +33,6 @@ func naked(a, b cost.Micros) cost.Micros {
 // silences nothing (the finding below stays active) and is itself a
 // malformed-suppression finding.
 func typod(a, b cost.Micros) cost.Micros {
-	//lint:ignore satarith-typo fixture: unknown analyzer name
+	//lint:ignore sattaint-typo fixture: unknown analyzer name
 	return a + b
 }

@@ -58,7 +58,7 @@ func cpuMismatch(report string, oldCPU, freshCPU int) []string {
 func unmatchedBaselines(report string, baseline map[string]bool) []string {
 	// Collect and sort the keys first: ranging over the map directly
 	// made the INFO lines shuffle run to run, which diffs as churn in
-	// the CI logs (detpath flags the pattern for the same reason).
+	// the CI logs.
 	var keys []string
 	for key, matched := range baseline {
 		if !matched {

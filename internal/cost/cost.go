@@ -8,11 +8,10 @@
 // computation floor((t-D-X)/C) an exact integer division: feasibility
 // decisions can never flip due to floating-point rounding.
 //
-// The microsfloat analyzer (cmd/imflow-lint) enforces that claim: this
-// package is float-free except for the two declared conversion
-// boundaries FromMillis and Micros.Millis.
-//
-//imflow:floatfree
+// The integer core (this package, flowgraph, maxflow and retrieval) is
+// float-free except for the two declared conversion boundaries
+// FromMillis and Micros.Millis; the oracle and property tests catch a
+// float floor that reaches the capacity computation (DESIGN.md §7).
 package cost
 
 import (
@@ -42,8 +41,6 @@ const Min Micros = math.MinInt64
 // float-to-int conversion is therefore never applied to an out-of-range
 // value, whose result Go leaves implementation-defined. It is one of the
 // two declared float boundaries of the integer core.
-//
-//imflow:floatboundary
 func FromMillis(ms float64) Micros {
 	us := math.Round(ms * 1000)
 	if math.IsNaN(us) {
@@ -100,15 +97,11 @@ func SatMul(a, b Micros) Micros {
 
 // Millis converts back to floating-point milliseconds for reporting. It
 // is one of the two declared float boundaries of the integer core.
-//
-//imflow:floatboundary
 func (m Micros) Millis() float64 { return float64(m) / 1000 }
 
 // String renders the value as milliseconds with microsecond precision.
 // Formatting for humans goes through Millis, so String is a declared
 // float boundary like the accessor it wraps.
-//
-//imflow:floatboundary
 func (m Micros) String() string {
 	return fmt.Sprintf("%.3fms", m.Millis())
 }

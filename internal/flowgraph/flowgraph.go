@@ -7,8 +7,6 @@
 // is two array writes. Arc indices are stable after AddEdge, which is what
 // lets the integrated retrieval algorithms retune disk-edge capacities
 // between max-flow runs while conserving all previously computed flow.
-//
-//imflow:floatfree
 package flowgraph
 
 import (

@@ -10,13 +10,9 @@ import "imflow/internal/flowgraph"
 const AuditEnabled = false
 
 // AuditFlow is a no-op without the imflow_audit build tag.
-//
-//imflow:det
 func AuditFlow(g *flowgraph.Graph, s, t int) {}
 
 // Audit is a no-op without the imflow_audit build tag.
-//
-//imflow:det
 func Audit(g *flowgraph.Graph, s, t int) {}
 
 // auditLabels is a no-op without the imflow_audit build tag.

@@ -12,8 +12,6 @@ const AuditEnabled = true
 // panics otherwise. The retrieval algorithms call it after intermediate
 // steps that restore conservation without reaching a maximum flow (e.g.
 // after each bucket's augmentation in the Ford-Fulkerson solvers).
-//
-//imflow:det
 func AuditFlow(g *flowgraph.Graph, s, t int) {
 	if _, err := VerifyFlow(g, s, t); err != nil {
 		panic("imflow_audit: " + err.Error())
@@ -24,8 +22,6 @@ func AuditFlow(g *flowgraph.Graph, s, t int) {
 // flow and panics otherwise. The retrieval algorithms call it after
 // every max-flow run, so with the imflow_audit tag every integrated
 // capacity-scaling step is certified, not just the final answer.
-//
-//imflow:det
 func Audit(g *flowgraph.Graph, s, t int) {
 	if err := Certify(g, s, t); err != nil {
 		panic("imflow_audit: " + err.Error())

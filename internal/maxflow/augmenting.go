@@ -57,8 +57,6 @@ func (f *FordFulkerson) Reset() {
 }
 
 // Run augments the current flow to a maximum flow and returns its value.
-//
-//imflow:det
 func (f *FordFulkerson) Run(s, t int) int64 {
 	for f.AugmentFrom(s, t) > 0 {
 	}
@@ -185,7 +183,6 @@ func (e *EdmondsKarp) Reset() {
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
 //imflow:allocok
-//imflow:det
 func (e *EdmondsKarp) Run(s, t int) int64 {
 	g := e.g
 	if len(e.parent) < g.N {

@@ -44,7 +44,6 @@ func (d *Dinic) Reset() {
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
 //imflow:allocok
-//imflow:det
 func (d *Dinic) Run(s, t int) int64 {
 	g := d.g
 	if len(d.level) < g.N {

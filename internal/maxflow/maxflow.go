@@ -9,8 +9,6 @@
 // capacities, the previous run's flow is still feasible, so the next run
 // only computes the missing flow. A black-box run is simply
 // g.ZeroFlows() followed by Run.
-//
-//imflow:floatfree
 package maxflow
 
 import "imflow/internal/flowgraph"

@@ -31,14 +31,14 @@
 // which is what lets the integrated binary-capacity-scaling algorithm call
 // it repeatedly while conserving flow between calls.
 //
-// The atomicfield analyzer (cmd/imflow-lint) enforces the access
-// discipline mechanically: the Solver fields annotated "(atomic)" may
-// only be touched through sync/atomic outside the functions whose doc
-// comments carry the //imflow:quiescent directive (those run strictly
-// before the workers start, after they have quiesced, or while holding
-// the global-relabel write lock).
-//
-//imflow:floatfree
+// The Solver fields annotated "(atomic)" are touched only through
+// sync/atomic while workers may be live. The functions documented as
+// quiescent touch them with plain loads and stores: they run strictly
+// before the workers start (Run's preparation, Reset, exactHeights),
+// after wg.Wait has quiesced them all (drainExcess, cancelCycle, Run's
+// write-back), or while holding the global-relabel write lock, which
+// excludes every discharge (globalRelabel). `go test -race` over this
+// package and its retrieval callers checks the discipline.
 package parallel
 
 import (
@@ -63,7 +63,7 @@ type Solver struct {
 	inQueue []int32 // 1 from enqueue until discharge completes (atomic)
 
 	// Sequential-phase scratch, reused across runs. Only touched in the
-	// //imflow:quiescent sections.
+	// quiescent sections.
 	dist   []int64 // globalRelabel height recomputation
 	bfsq   []int32 // BFS queues of exactHeights/bfsHeights
 	onPath []int32 // drainExcess path membership
@@ -111,12 +111,11 @@ func New(g *flowgraph.Graph, threads int) *Solver {
 func (s *Solver) Name() string { return s.name }
 
 // Reset implements maxflow.Engine: re-sync the atomic arrays with the
-// (possibly rebuilt) graph. Run re-derives all per-run state. Reset runs
-// strictly between Runs, with no workers live.
+// (possibly rebuilt) graph. Run re-derives all per-run state. Reset is
+// quiescent: it runs strictly between Runs, with no workers live.
 //
 // Amortized: (re)sizes engine-owned scratch that is reused across solves.
 //
-//imflow:quiescent
 //imflow:allocok
 func (s *Solver) Reset() {
 	if cap(s.excess) < s.g.N {
@@ -146,8 +145,10 @@ func (s *Solver) Threads() int { return s.threads }
 //
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
-//imflow:detsafe arc-level flow assignment is racy by design; the returned flow value is canonical and audited against the sequential engines
-//imflow:quiescent
+// The arc-level flow assignment is racy by design, so two runs on one
+// graph may route the flow differently; the returned flow value is
+// canonical and audited against the sequential engines.
+//
 //imflow:allocok
 func (s *Solver) Run(src, sink int) int64 {
 	g := s.g
@@ -344,10 +345,8 @@ func (s *Solver) discharge(v, src, sink int) {
 
 // drainExcess converts the maximum preflow into a maximum flow: all excess
 // stranded at frozen vertices is cancelled back along incoming flow paths
-// to the source (flow decomposition). Runs sequentially after the workers
-// have quiesced.
-//
-//imflow:quiescent
+// to the source (flow decomposition). Quiescent: runs sequentially after
+// the workers have quiesced.
 func (s *Solver) drainExcess(src, sink int) {
 	g := s.g
 	flowOn := func(a int32) int64 { return g.Cap[a] - s.res[a] }
@@ -429,10 +428,8 @@ func (s *Solver) drainExcess(src, sink int) {
 
 // cancelCycle removes the flow cycle closed by arc inArc (which carries
 // flow from u to the current path head). pathV[i] is on the path with
-// onPath position i+1. Runs only from drainExcess, after the workers
-// have quiesced.
-//
-//imflow:quiescent
+// onPath position i+1. Quiescent: runs only from drainExcess, after the
+// workers have quiesced.
 func (s *Solver) cancelCycle(pathV, pathA []int32, u, inArc int32) {
 	g := s.g
 	flowOn := func(a int32) int64 { return g.Cap[a] - s.res[a] }
@@ -473,8 +470,6 @@ func (s *Solver) cancelCycle(pathV, pathA []int32, u, inArc int32) {
 //
 // globalRelabel holds the gr write lock for its whole body, so the
 // dischargers (which hold read locks) are quiesced while it runs.
-//
-//imflow:quiescent
 func (s *Solver) globalRelabel(src, sink int) {
 	s.gr.Lock()
 	defer s.gr.Unlock()
@@ -521,10 +516,8 @@ func (s *Solver) bfsHeights(dist []int64, src, sink int) {
 }
 
 // exactHeights initializes heights to exact residual BFS distances to the
-// sink; vertices that cannot reach the sink start frozen at n. Runs in
-// Run's sequential preparation, before any worker starts.
-//
-//imflow:quiescent
+// sink; vertices that cannot reach the sink start frozen at n. Quiescent:
+// runs in Run's sequential preparation, before any worker starts.
 func (s *Solver) exactHeights(src, sink int) {
 	g := s.g
 	n := int64(g.N)

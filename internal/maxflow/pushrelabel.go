@@ -82,7 +82,6 @@ func (pr *PushRelabel) Reset() {
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
 //imflow:allocok
-//imflow:det
 func (pr *PushRelabel) Run(s, t int) int64 {
 	pr.saturate(s)
 	pr.globalRelabel(s, t)
@@ -114,7 +113,6 @@ func (pr *PushRelabel) Run(s, t int) int64 {
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
 //imflow:allocok
-//imflow:det
 func (pr *PushRelabel) Resume(s, t int) int64 {
 	kept, added := pr.saturate(s)
 	if pr.labeled && added <= kept {

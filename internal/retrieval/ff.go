@@ -41,7 +41,6 @@ func (s *FFBasic) Solve(p *Problem) (*Result, error) {
 // SolveInto implements ReusableSolver. The noalloc analyzer holds this
 // body to zero steady-state allocations.
 //
-//imflow:det
 //imflow:noalloc
 func (s *FFBasic) SolveInto(p *Problem, res *Result) error {
 	if err := p.Validate(); err != nil {
@@ -128,8 +127,6 @@ func (s *FFIncremental) Solve(p *Problem) (*Result, error) {
 }
 
 // SolveInto implements ReusableSolver.
-//
-//imflow:det
 func (s *FFIncremental) SolveInto(p *Problem, res *Result) error {
 	return s.SolveMaskedInto(p, nil, res)
 }

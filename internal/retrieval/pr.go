@@ -58,8 +58,6 @@ func (s *PRIncremental) Solve(p *Problem) (*Result, error) {
 }
 
 // SolveInto implements ReusableSolver.
-//
-//imflow:det
 func (s *PRIncremental) SolveInto(p *Problem, res *Result) error {
 	return s.SolveMaskedInto(p, nil, res)
 }
@@ -209,8 +207,6 @@ func (s *PRBinary) Solve(p *Problem) (*Result, error) {
 }
 
 // SolveInto implements ReusableSolver.
-//
-//imflow:det
 func (s *PRBinary) SolveInto(p *Problem, res *Result) error {
 	return s.SolveMaskedInto(p, nil, res)
 }

@@ -3,8 +3,6 @@
 // algorithms that conserve flow across the capacity adjustments of the
 // search (Algorithms 1-6 of the paper), plus the black-box baselines of
 // the prior work they are compared against.
-//
-//imflow:floatfree
 package retrieval
 
 import (
@@ -63,7 +61,7 @@ func (p *Problem) Validate() error {
 		// D_j + X_j must stay on the time axis: every capacity and finish
 		// computation starts from this sum, and admitting a wrapping pair
 		// here would make each of them silently saturate.
-		//lint:ignore satarith Load is non-negative (checked above), so Max-Load cannot wrap
+		//lint:ignore sattaint Load is non-negative (checked above), so Max-Load cannot wrap
 		if d.Delay > cost.Max-d.Load {
 			return fmt.Errorf("retrieval: disk %d delay+load exceeds the time axis", j)
 		}
@@ -399,20 +397,10 @@ func (net *network) capsForTime(t cost.Micros) {
 // bucketVertex returns the vertex of bucket i.
 func (net *network) bucketVertex(i int) int { return 1 + i }
 
-// extractSchedule reads the assignment off the saturated bucket->disk arcs
-// of a |Q|-valued flow into a fresh Schedule.
-func (net *network) extractSchedule(p *Problem) (*Schedule, error) {
-	s := &Schedule{}
-	if err := net.extractScheduleInto(p, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// extractScheduleInto is extractSchedule writing into an existing Schedule,
-// reusing its backing arrays when they are large enough. Disk vertices are
-// mapped back to global IDs arithmetically (vertex q+1+k is participating
-// disk k), so no lookup structure is built.
+// extractScheduleInto reads the assignment off the saturated bucket->disk
+// arcs of a maximum flow into s, reusing its backing arrays when they are
+// large enough. Disk vertices are mapped back to global IDs arithmetically
+// (vertex q+1+k is participating disk k), so no lookup structure is built.
 func (net *network) extractScheduleInto(p *Problem, s *Schedule) error {
 	g := net.g
 	s.Assignment = grow(s.Assignment, net.q)
@@ -466,12 +454,6 @@ func (net *network) extractScheduleInto(p *Problem, s *Schedule) error {
 // O(c * |Q|).
 type incrementState struct {
 	active []int // indices into net.diskIDs still in E
-}
-
-func newIncrementState(net *network) *incrementState {
-	st := &incrementState{}
-	st.reset(net)
-	return st
 }
 
 // reset refills the live edge set with every participating disk that is

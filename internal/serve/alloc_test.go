@@ -24,9 +24,10 @@ func chunk(qs []Query, size int) [][]Query {
 // zero-reallocation guarantee: a worker with a pinned sequential solver,
 // serving warmed admission batches, performs no heap allocations per
 // query — in the online concurrent path and in the deterministic path,
-// healthy and degraded (disks failed so that queries drop buckets). This
-// is what justifies pinning solvers to workers instead of drawing them
-// from a sync.Pool.
+// healthy and degraded (disks failed so that queries drop buckets), and
+// in the online path's mid-solve repair (a scheduled disk fails between
+// a solve and its write-back). This is what justifies pinning solvers to
+// workers instead of drawing them from a sync.Pool.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	if maxflow.AuditEnabled {
 		t.Skip("imflow_audit builds allocate in the audit hooks")
@@ -43,11 +44,13 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		name   string
 		opt    Options
 		failed []int
+		repair bool // fail one scheduled disk mid-solve per pass
 	}{
-		{"concurrent", Options{Workers: 1, Batch: 8}, nil},
-		{"deterministic", Options{Deterministic: true, Batch: 8}, nil},
-		{"concurrent-degraded", Options{Workers: 1, Batch: 8}, down},
-		{"deterministic-degraded", Options{Deterministic: true, Batch: 8}, down},
+		{"concurrent", Options{Workers: 1, Batch: 8}, nil, false},
+		{"deterministic", Options{Deterministic: true, Batch: 8}, nil, false},
+		{"concurrent-degraded", Options{Workers: 1, Batch: 8}, down, false},
+		{"deterministic-degraded", Options{Deterministic: true, Batch: 8}, down, false},
+		{"concurrent-repair", Options{Workers: 1, Batch: 8}, nil, true},
 	} {
 		s, err := New(sys, len(qs), mode.opt)
 		if err != nil {
@@ -62,11 +65,34 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		// AllocsPerRun needs the serving step itself on the test goroutine.
 		s.start = time.Now()
 		w := s.workers[0]
+		// In repair mode the hook fails the busiest disk of the first
+		// schedule of each pass, which the worker repairs with MarkFailed
+		// before its write-back; the disk recovers when the pass ends.
+		hit := -1
+		if mode.repair {
+			s.faultOn.Store(true) // the online fault path, as after any FailDisk
+			s.afterSolve = func(w *worker, _ *Query) {
+				if hit >= 0 {
+					return
+				}
+				if hit = busiestDisk(w.res.Schedule); hit >= 0 {
+					if err := s.FailDisk(hit); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}
 		serveAll := func() {
 			s.clock = 0 // deterministic clock restarts with each replayed stream
+			hit = -1
 			for _, b := range batches {
 				if err := w.serveBatch(b); err != nil {
 					t.Fatalf("%s: %v", mode.name, err)
+				}
+			}
+			if hit >= 0 {
+				if err := s.RecoverDisk(hit); err != nil {
+					t.Error(err)
 				}
 			}
 		}
@@ -77,8 +103,12 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		if mode.failed != nil && s.nDropped.Load() == 0 {
 			t.Fatalf("%s: no query dropped a bucket", mode.name)
 		}
+		failovers := s.nFailovers.Load()
 		if avg := testing.AllocsPerRun(10, serveAll); avg != 0 {
 			t.Errorf("%s: %v allocs per warmed serving pass, want 0", mode.name, avg)
+		}
+		if mode.repair && s.nFailovers.Load() == failovers {
+			t.Errorf("%s: the measured passes repaired nothing", mode.name)
 		}
 	}
 }

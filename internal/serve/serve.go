@@ -23,8 +23,6 @@
 // served strictly in arrival order against the live state, with the query
 // arrival instant as the clock, and produces bit-identical response times
 // to replaying the stream through sim.Simulator.
-//
-//imflow:floatfree
 package serve
 
 import (
@@ -476,9 +474,9 @@ func (s *Server) Start(ctx context.Context) {
 	}
 }
 
-// now returns the wall clock as model microseconds since Start.
-//
-//imflow:detsafe wall-clock admission horizon of the online path, read once per batch; the deterministic mode's clock is the query arrival
+// now returns the wall clock as model microseconds since Start: the
+// admission horizon of the online path, read once per batch. The
+// deterministic mode's clock is the query arrival instead.
 func (s *Server) now() cost.Micros {
 	return cost.Micros(time.Since(s.start) / time.Microsecond)
 }

@@ -11,9 +11,8 @@ import (
 
 // sinceSubmit returns the wall-clock age of a query's admission, zero for
 // queries that never went through Submit (white-box tests drive workers
-// directly).
-//
-//imflow:detsafe observability-only latency stamp; response times and schedules never read it
+// directly). The stamp is for observability only: response times and
+// schedules never read it.
 func sinceSubmit(q *Query) time.Duration {
 	if q.submitted.IsZero() {
 		return 0
@@ -39,8 +38,9 @@ func (w *worker) record(r Result) {
 // solving would burn a batch slot on an answer nobody reads. Concurrent
 // paths only — the deterministic mode ignores Query.Ctx, because a
 // wall-clock cancellation check would make replay scheduling-dependent.
+// Canceled queries are recorded, never served, so no served response
+// depends on when the cancellation landed.
 //
-//imflow:detsafe cancellation is an external wall-clock event; canceled queries are recorded, never served, so no served response depends on it
 //imflow:noalloc
 func (w *worker) rejectCanceled(q *Query) bool {
 	if q.Ctx == nil {
@@ -164,7 +164,6 @@ func (w *worker) serveBatch(batch []Query) error {
 // step for step, which is what makes its response times bit-identical to
 // stream replay.
 //
-//imflow:det
 //imflow:noalloc
 func (w *worker) serveDeterministic(batch []Query) error {
 	s := w.srv
