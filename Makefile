@@ -55,8 +55,8 @@ lint-accept:
 vet:
 	$(GO) vet ./...
 
-## fuzz: short exploratory runs of both fuzz targets (seed corpora under
-## testdata/fuzz/ always replay in plain `make test`).
+## fuzz: short exploratory runs of all four fuzz targets (seed corpora
+## under testdata/fuzz/ always replay in plain `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzReadProblem -fuzztime=30s ./internal/encoding/
 	$(GO) test -fuzz=FuzzSolverConsensus -fuzztime=30s ./internal/retrieval/

@@ -34,12 +34,6 @@ func (p *Pass) Reportf(node *Node, pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Position resolves pos in node's file set (for embedding secondary
-// positions in messages).
-func (p *Pass) Position(node *Node, pos token.Pos) token.Position {
-	return node.Pkg.Fset.Position(pos)
-}
-
 // Run applies every module analyzer to the graph and returns the merged
 // diagnostics, sorted in the same total order analysis.Run uses.
 func Run(analyzers []*Analyzer, g *Graph) ([]analysis.Diagnostic, error) {

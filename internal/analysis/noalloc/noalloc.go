@@ -161,10 +161,12 @@ func runTransitive(pass *callgraph.Pass) error {
 				path := append(append([]callgraph.Edge{}, cur.via...), e)
 				if f := factOf[e.Callee]; len(f.sites) > 0 {
 					s := f.sites[0]
+					// The callee's name locates the site; a file position
+					// would tie baseline records to one checkout and go
+					// stale on any line drift.
 					pass.Reportf(root, path[0].Pos,
-						"//imflow:noalloc function %s reaches allocating function %s (%s at %s) via %s",
-						root.Name(), e.Callee.Name(), s.msg,
-						pass.Position(e.Callee, s.pos), callgraph.FormatPath(path))
+						"//imflow:noalloc function %s reaches allocating function %s (%s) via %s",
+						root.Name(), e.Callee.Name(), s.msg, callgraph.FormatPath(path))
 				}
 				queue = append(queue, item{node: e.Callee, via: path})
 			}

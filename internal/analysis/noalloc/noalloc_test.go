@@ -49,3 +49,16 @@ func TestTransitiveChains(t *testing.T) {
 		t.Fatalf("no diagnostic prints the full entry → mid → alloc witness chain:\n%v", diags)
 	}
 }
+
+// TestTransitiveMessagesCarryNoPosition keeps transitive messages free of
+// file positions: lint baseline records match on the message, so a path
+// or line in it would tie a record to one checkout and stale it on any
+// line drift. The callee's name already locates the allocation.
+func TestTransitiveMessagesCarryNoPosition(t *testing.T) {
+	diags := analyzertest.RunModule(t, []*callgraph.Analyzer{noalloc.Transitive}, "testdata/transitive")
+	for _, d := range diags {
+		if strings.Contains(d.Message, ".go") || strings.Contains(d.Message, "testdata") {
+			t.Errorf("transitive message carries a file position: %s", d.Message)
+		}
+	}
+}

@@ -116,17 +116,10 @@ func (c Config) Build() (*Instance, error) {
 func BuildProblem(sys *storage.System, alloc *decluster.Allocation, buckets []int) *retrieval.Problem {
 	p := &retrieval.Problem{
 		Disks:    make([]retrieval.DiskParams, sys.NumDisks()),
-		Replicas: make([][]int, len(buckets)),
+		Replicas: sys.ReplicaDisks(alloc, buckets),
 	}
 	for j, d := range sys.Disks {
 		p.Disks[j] = retrieval.DiskParams{Service: d.Service, Delay: d.Delay, Load: d.Load}
-	}
-	for i, b := range buckets {
-		reps := make([]int, alloc.Copies())
-		for k := 0; k < alloc.Copies(); k++ {
-			reps[k] = sys.GlobalID(k, alloc.Disk(k, b))
-		}
-		p.Replicas[i] = reps
 	}
 	return p
 }

@@ -35,16 +35,7 @@ func (s *Server) resolveReplicas(qr QueryRequest) ([][]int, error) {
 	if s.alloc == nil {
 		return nil, fmt.Errorf("httpd: this server has no allocation; submit raw replicas")
 	}
-	copies := s.alloc.Copies()
-	reps := make([][]int, len(qr.Buckets))
-	for i, b := range qr.Buckets {
-		r := make([]int, copies)
-		for k := 0; k < copies; k++ {
-			r[k] = s.sys.GlobalID(k, s.alloc.Disk(k, b))
-		}
-		reps[i] = r
-	}
-	return reps, nil
+	return s.sys.ReplicaDisks(s.alloc, qr.Buckets), nil
 }
 
 // overloadTriggered reports whether either overload signal — summed

@@ -8,7 +8,10 @@
 // complete the missing blocks is a lower bound on the optimum. The search
 // jumps there, raises the capacities, and resumes the flow it holds. A
 // raise cancels no flow, so no drain is needed. The first threshold whose
-// run reaches the target is therefore the optimum.
+// run reaches the target is therefore the optimum. Before the first run
+// the search routes every bucket it can through its emptiest replica disk
+// (seed), so the engine starts near the maximum flow, the premise the
+// paper's conserving runs rest on.
 //
 // This is Newton's method on a parametric minimum cut, whose source sides
 // are nested as t rises (Gallo, Grigoriadis & Tarjan, SIAM J. Comput.
@@ -59,8 +62,9 @@ func (c *cutScratch) trivial(net *network) cost.Micros {
 
 // searchCut runs the min-cut search on the prepared network. Its first
 // run drains whatever flow the graph carries (the previous solve's on a
-// warm start or a MarkFailed) down to t0's capacities; every later run
-// only raises them. res.Stats.Increments counts the jumps.
+// warm start or a MarkFailed) down to t0's capacities and seeds it
+// greedily (seed) before the engine augments it; every later run only
+// raises the capacities. res.Stats.Increments counts the jumps.
 //
 //imflow:noalloc
 func (s *PRBinary) searchCut(res *Result) error {
@@ -69,7 +73,9 @@ func (s *PRBinary) searchCut(res *Result) error {
 	target := net.target()
 	t := c.trivial(net)
 	net.capsForTime(t)
-	flow := s.run()
+	net.g.DrainExcess(net.s, net.t)
+	net.seed()
+	flow := s.augment()
 	res.Stats.MaxflowRuns++
 	for flow < target {
 		next, ok := c.jump(net, t, target-flow)
@@ -84,6 +90,40 @@ func (s *PRBinary) searchCut(res *Result) error {
 		res.Stats.Increments++
 	}
 	return nil
+}
+
+// seed completes the drained flow greedily: every live bucket that
+// carries no flow is routed through the replica disk with the most
+// residual sink capacity, buckets in order and replicas in list order,
+// ties to the first, so the result is deterministic. A dead bucket's
+// source arc and a masked disk's sink arc have no capacity, so neither
+// takes a unit. The engine then starts from a near-maximal feasible flow
+// instead of routing every unit itself. searchCut seeds only its first
+// run, after search has reset the engine, so the run opens with a global
+// relabel and never relies on Resume's precondition that the flow only
+// lost whole paths since the last run.
+func (net *network) seed() {
+	g := net.g
+	for i, a := range net.srcArc[:net.q] {
+		if g.Residual(a) == 0 {
+			continue // dead, or already routed
+		}
+		// Bucket i's arcs to its replicas follow its source arc, in list
+		// order (rebuildMasked).
+		arc, disk, room := 0, 0, int64(0)
+		for b := a + 2; b < a+2+2*len(net.prob.Replicas[i]); b += 2 {
+			k := int(g.To[b]) - net.q - 1
+			if r := g.Residual(net.diskArc[k]); r > room {
+				arc, disk, room = b, k, r
+			}
+		}
+		if room == 0 {
+			continue // the engine routes it, or finds it cannot
+		}
+		g.Push(a, 1)
+		g.Push(arc, 1)
+		g.Push(net.diskArc[disk], 1)
+	}
 }
 
 // jump returns the least threshold after t at which the live disks on

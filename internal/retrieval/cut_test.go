@@ -245,3 +245,74 @@ func TestCutSearchSteadyStateAllocs(t *testing.T) {
 		t.Errorf("%v allocs per solve, warm solve, masked solve and failover, want 0", avg)
 	}
 }
+
+// TestCutSearchSeedIsGreedyAndFeasible checks the min-cut search's seed
+// against a replay of its rule on networks with failed disks, at t0's
+// capacities: buckets in order, each to the replica disk with the most
+// room left, ties to the first, dead buckets and masked disks never.
+// The seeded flow must be feasible, and must route exactly the buckets
+// the replay routes, through the disks it picks.
+func TestCutSearchSeedIsGreedyAndFeasible(t *testing.T) {
+	var routed, unrouted, dead int
+	check := func(seed uint64) bool {
+		p := problemFromSeed(seed, false)
+		if seed%2 == 1 {
+			p = wideBacklogProblem(seed)
+		}
+		rng := xrand.New(seed ^ 0x5eed)
+		mask := NewDiskMask(len(p.Disks))
+		for _, d := range rng.Sample(len(p.Disks), rng.Intn(len(p.Disks)/2+1)) {
+			mask.MarkFailed(d)
+		}
+		net := &network{}
+		net.rebuildMasked(p, mask)
+		var c cutScratch
+		net.capsForTime(c.trivial(net))
+		net.seed()
+		if _, err := net.g.CheckFlow(net.s, net.t); err != nil {
+			t.Logf("seed %d: seeded flow infeasible: %v", seed, err)
+			return false
+		}
+		room := append([]int64(nil), net.caps[:len(net.diskIDs)]...)
+		for i, reps := range p.Replicas {
+			want := -1
+			if !net.deadMark[i] {
+				most := int64(0)
+				for _, d := range reps {
+					if k := int(net.vtxSlot[d]) - 1; room[k] > most && !mask.Failed(d) {
+						want, most = k, room[k]
+					}
+				}
+				if want >= 0 {
+					room[want]--
+				}
+			}
+			got := -1
+			a := net.srcArc[i]
+			for r := range reps {
+				if b := a + 2 + 2*r; net.g.Flow[b] > 0 {
+					got = int(net.g.To[b]) - net.q - 1
+				}
+			}
+			if got != want || net.g.Flow[a] != int64(min(1, want+1)) {
+				t.Logf("seed %d: bucket %d (dead %v) seeded to slot %d, want %d", seed, i, net.deadMark[i], got, want)
+				return false
+			}
+			switch {
+			case net.deadMark[i]:
+				dead++
+			case want < 0:
+				unrouted++
+			default:
+				routed++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if routed == 0 || unrouted == 0 || dead == 0 {
+		t.Errorf("buckets seeded %d, left to the engine %d, dead %d; want all three", routed, unrouted, dead)
+	}
+}

@@ -364,8 +364,8 @@ func (s *PRBinary) run() int64 {
 
 // augment runs the engine from the graph's current flow, resuming from
 // the heights of its last run when it is a resumer, and audits the
-// result. The min-cut search calls it directly after raising
-// capacities, which leaves nothing to drain.
+// result. The min-cut search calls it directly: after its own drain and
+// seed, and after raising capacities, which leaves nothing to drain.
 func (s *PRBinary) augment() int64 {
 	net := &s.net
 	var flow int64

@@ -19,7 +19,9 @@
 //     (flowgraph.DrainExcess, whole-path cancellation, the same drain
 //     that absorbs a MarkFailed) and the engine augments only the
 //     difference, so a warm solve merely starts from the previous query's
-//     flow where a cold one starts from zero. The feasibility of each probe is a
+//     flow where a cold one starts from zero (in pr-binary, from the
+//     min-cut search's greedy seed, which also tops up a warm flow before
+//     the first run). The feasibility of each probe is a
 //     property of the capacities alone (the max-flow value is unique), so
 //     the bracket trajectory, the step counters, and the final response
 //     time are bit-identical to a cold solve. So are the min-cut search's

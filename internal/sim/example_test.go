@@ -26,6 +26,9 @@ func ExampleSimulator() {
 	fmt.Printf("query 1 response: %v\n", r1.ResponseTime)
 
 	// Query 2 arrives immediately after and must wait behind the queues.
+	// The backlog is read before it is placed: either disk serves it in
+	// the same time, so which one it lands on is the solver's tie-break.
+	backlog := s.LoadAt(0, cost.FromMillis(1))
 	r2, err := s.Submit(sim.Query{
 		Arrival:  cost.FromMillis(1),
 		Replicas: [][]int{{0, 1}},
@@ -33,8 +36,7 @@ func ExampleSimulator() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("query 2 response: %v (includes %v of backlog)\n",
-		r2.ResponseTime, s.LoadAt(0, cost.FromMillis(1)))
+	fmt.Printf("query 2 response: %v (includes %v of backlog)\n", r2.ResponseTime, backlog)
 	// Output:
 	// query 1 response: 12.200ms
 	// query 2 response: 17.300ms (includes 11.200ms of backlog)

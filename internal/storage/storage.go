@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"imflow/internal/cost"
+	"imflow/internal/decluster"
 	"imflow/internal/xrand"
 )
 
@@ -199,6 +200,24 @@ func (s *System) GlobalID(site, local int) int {
 			site, local, s.Sites, s.DisksPerSite))
 	}
 	return site*s.DisksPerSite + local
+}
+
+// ReplicaDisks maps a query's bucket ids onto the global ids of the disks
+// holding their replicas: copy k of a bucket lives on site k, on the disk
+// alloc places it on. The lists are windows of one slab, so a query costs
+// two allocations, the slab and the list headers, whatever its size.
+func (s *System) ReplicaDisks(alloc *decluster.Allocation, buckets []int) [][]int {
+	c := alloc.Copies()
+	slab := make([]int, len(buckets)*c)
+	reps := make([][]int, len(buckets))
+	for i, b := range buckets {
+		r := slab[i*c : (i+1)*c : (i+1)*c]
+		for k := range r {
+			r[k] = s.GlobalID(k, alloc.Disk(k, b))
+		}
+		reps[i] = r
+	}
+	return reps
 }
 
 // Build instantiates an experiment for n disks per site, drawing random

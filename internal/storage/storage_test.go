@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"imflow/internal/cost"
+	"imflow/internal/decluster"
+	"imflow/internal/grid"
 	"imflow/internal/xrand"
 )
 
@@ -206,6 +208,33 @@ func TestGlobalID(t *testing.T) {
 		}
 	}()
 	sys.GlobalID(2, 0)
+}
+
+// TestReplicaDisks checks the bucket-to-replica resolution against
+// GlobalID and pins it at two allocations per query, the slab and the
+// list headers, however many buckets the query holds.
+func TestReplicaDisks(t *testing.T) {
+	g := grid.New(6)
+	sys := Uniform(3, 6, Cheetah)
+	alloc := decluster.Dependent(g, 3)
+	buckets := make([]int, g.Buckets())
+	for i := range buckets {
+		buckets[i] = (i * 7) % g.Buckets()
+	}
+	reps := sys.ReplicaDisks(alloc, buckets)
+	for i, b := range buckets {
+		if len(reps[i]) != 3 || cap(reps[i]) != 3 {
+			t.Fatalf("bucket %d: list %v of cap %d, want 3 replicas", b, reps[i], cap(reps[i]))
+		}
+		for k, d := range reps[i] {
+			if want := sys.GlobalID(k, alloc.Disk(k, b)); d != want {
+				t.Fatalf("bucket %d copy %d on disk %d, want %d", b, k, d, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { sys.ReplicaDisks(alloc, buckets) }); n != 2 {
+		t.Fatalf("ReplicaDisks made %v allocations, want 2", n)
+	}
 }
 
 func TestDiskFinish(t *testing.T) {
