@@ -1,16 +1,16 @@
 // Command imflow-serve runs the HTTP retrieval front end over one
 // paper-scale cell: POST /v1/query and /v1/submit serve bucket or raw
 // replica queries through the sharded serving layer with deadline
-// propagation, per-client rate limiting, and overload shedding; GET
-// /healthz, /readyz, and /metrics expose liveness, drain state, and the
-// degradation counters. SIGINT/SIGTERM trigger a graceful drain bounded
-// by -drain-timeout.
+// propagation, per-client rate limiting, and reject-new shedding at a
+// bounded admission window; GET /healthz, /readyz, and /metrics expose
+// liveness, drain state, and the degradation counters. SIGINT/SIGTERM
+// trigger a graceful drain bounded by -drain-timeout.
 //
 // Usage:
 //
 //	imflow-serve                                   # :8080, N=20 cell, 4 shards
 //	imflow-serve -addr :9000 -n 60 -workers 8
-//	imflow-serve -policy drop-latest-deadline -shed-queue 128 -rate 500
+//	imflow-serve -max-inflight 64 -rate 500 -burst 50
 package main
 
 import (
@@ -50,13 +50,9 @@ func run(args []string, stderr io.Writer) error {
 	workers := fs.Int("workers", 4, "serving-layer shards")
 	queueDepth := fs.Int("queue", 0, "per-shard admission queue bound (default 64)")
 	batch := fs.Int("batch", 0, "max queries coalesced per worker wakeup (default 16)")
-	policyName := fs.String("policy", "reject-new", "shed policy: reject-new or drop-latest-deadline")
-	maxInflight := fs.Int("max-inflight", 0, "admission window (default 256)")
-	shedQueue := fs.Int("shed-queue", 0, "summed queue depth that triggers shedding (0 disables)")
-	shedP99 := fs.Duration("shed-p99", 0, "served p99 that triggers shedding (0 disables)")
+	maxInflight := fs.Int("max-inflight", 0, "admission window; requests past it are shed with 503 (default 256)")
 	rate := fs.Float64("rate", 0, "per-client token-bucket rate in queries/sec (batch items each cost a token; 0 disables)")
 	burst := fs.Float64("burst", 0, "per-client token-bucket burst (default 1)")
-	defaultDeadline := fs.Duration("default-deadline", 0, "deadline for requests that carry none (0 means none)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	seed := fs.Uint64("seed", 0, "cell build seed (default 42)")
 	if err := fs.Parse(args); err != nil {
@@ -65,10 +61,6 @@ func run(args []string, stderr io.Writer) error {
 
 	if *seed == 0 {
 		*seed = 42
-	}
-	policy, err := httpd.ParsePolicy(*policyName)
-	if err != nil {
-		return err
 	}
 	cfg := experiment.Config{
 		ExpNum:  *expNum,
@@ -84,15 +76,11 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 	s, err := httpd.New(inst.System, inst.Alloc, httpd.Options{
-		Serve:           serve.Options{Workers: *workers, QueueDepth: *queueDepth, Batch: *batch},
-		MaxInflight:     *maxInflight,
-		Policy:          policy,
-		ShedQueueDepth:  *shedQueue,
-		ShedP99:         *shedP99,
-		RatePerSec:      *rate,
-		RateBurst:       *burst,
-		DefaultDeadline: *defaultDeadline,
-		Seed:            *seed,
+		Serve:       serve.Options{Workers: *workers, QueueDepth: *queueDepth, Batch: *batch},
+		MaxInflight: *maxInflight,
+		RatePerSec:  *rate,
+		RateBurst:   *burst,
+		Seed:        *seed,
 	})
 	if err != nil {
 		return err
@@ -103,8 +91,8 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 	hs := &http.Server{Handler: s}
-	fmt.Fprintf(stderr, "imflow-serve: cell %s (%d buckets, %d disks), %d shards, policy %s, listening on %s\n",
-		cfg, inst.Alloc.Grid.Buckets(), inst.System.NumDisks(), *workers, policy, ln.Addr())
+	fmt.Fprintf(stderr, "imflow-serve: cell %s (%d buckets, %d disks), %d shards, listening on %s\n",
+		cfg, inst.Alloc.Grid.Buckets(), inst.System.NumDisks(), *workers, ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

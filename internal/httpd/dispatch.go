@@ -26,6 +26,11 @@ type outcome struct {
 // abandoned shutdown) from client-side cancellation.
 var errServerStopped = errors.New("httpd: server stopped")
 
+// admitTimeout bounds how long a dispatch may block on a full shard queue
+// before answering 429 backpressure; it is also the Retry-After hint of
+// a shed answer.
+const admitTimeout = 100 * time.Millisecond
+
 // resolveReplicas maps a validated request onto global disk ids, either
 // verbatim (raw replica queries) or through the allocation.
 func (s *Server) resolveReplicas(qr QueryRequest) ([][]int, error) {
@@ -38,28 +43,11 @@ func (s *Server) resolveReplicas(qr QueryRequest) ([][]int, error) {
 	return s.sys.ReplicaDisks(s.alloc, qr.Buckets), nil
 }
 
-// overloadTriggered reports whether either overload signal — summed
-// shard queue depth or the cached served p99 — has crossed its
-// threshold.
-func (s *Server) overloadTriggered() bool {
-	if s.opt.ShedQueueDepth > 0 {
-		total := 0
-		for _, d := range s.srv.QueueDepths(nil) {
-			total += d
-		}
-		if total >= s.opt.ShedQueueDepth {
-			return true
-		}
-	}
-	return s.opt.ShedP99 > 0 && s.met.p99() > s.opt.ShedP99
-}
-
 // dispatch runs one validated query through the full lifecycle on
-// shard: overload control, slot + sequence acquisition,
-// deadline-propagated admission, and the terminal wait. rctx is the
-// client's request context; its cancellation propagates all the way into
-// the shard queue.
-func (s *Server) dispatch(rctx context.Context, qr QueryRequest, shard int) outcome {
+// shard: window + sequence slot acquisition, deadline-propagated
+// admission, and the terminal wait. qctx is the client's request
+// context; its cancellation propagates all the way into the shard queue.
+func (s *Server) dispatch(qctx context.Context, qr QueryRequest, shard int) outcome {
 	if s.isDraining() {
 		// Admitted by beginRequest just before Shutdown flipped: the same
 		// answer the handlers give a request that arrives after it.
@@ -73,34 +61,27 @@ func (s *Server) dispatch(rctx context.Context, qr QueryRequest, shard int) outc
 	}
 
 	budget := time.Duration(qr.DeadlineMs) * time.Millisecond
-	if budget == 0 {
-		budget = s.opt.DefaultDeadline
-	}
 	var deadline time.Time // zero = none
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
 
-	qctx, qcancel := context.WithCancelCause(rctx)
-	defer qcancel(nil)
-
-	id, ok := s.adm.acquire(deadline, qcancel, s.overloadTriggered())
-	if !ok {
+	if !s.adm.acquire() {
 		s.met.shedRejected.Add(1)
-		return outcome{status: http.StatusServiceUnavailable, msg: "overloaded: " + s.opt.Policy.String(),
-			retryAfter: s.opt.AdmitTimeout, transient: true}
+		return outcome{status: http.StatusServiceUnavailable, msg: "overloaded: reject-new",
+			retryAfter: admitTimeout, transient: true}
 	}
 
 	seq, ok := s.acquireSeq(qctx)
 	if !ok {
-		s.adm.release(id)
+		s.adm.release()
 		return s.interrupted(qctx)
 	}
 	out := s.attempt(qctx, seq, shard, replicas, deadline)
 	if !out.handedOff {
 		s.releaseSeq(seq)
 	}
-	s.adm.release(id)
+	s.adm.release()
 	return out
 }
 
@@ -117,7 +98,7 @@ func (s *Server) attempt(qctx context.Context, seq, shard int, replicas [][]int,
 		}
 	}
 	q := serve.Query{Seq: seq, Replicas: replicas, Deadline: budget, Ctx: qctx}
-	actx, acancel := context.WithTimeout(qctx, s.opt.AdmitTimeout)
+	actx, acancel := context.WithTimeout(qctx, admitTimeout)
 	err := s.srv.SubmitTo(actx, shard, q)
 	acancel()
 	switch {
@@ -128,11 +109,11 @@ func (s *Server) attempt(qctx context.Context, seq, shard int, replicas [][]int,
 	case qctx.Err() != nil:
 		return s.interrupted(qctx)
 	case errors.Is(err, context.DeadlineExceeded):
-		// AdmitTimeout elapsed against a full shard queue: explicit
+		// admitTimeout elapsed against a full shard queue: explicit
 		// backpressure.
 		s.met.backpressure.Add(1)
 		return outcome{status: http.StatusTooManyRequests, msg: "admission queue full",
-			retryAfter: s.opt.AdmitTimeout, transient: true}
+			retryAfter: admitTimeout, transient: true}
 	default:
 		s.met.unavailable.Add(1)
 		return outcome{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: time.Second}
@@ -182,10 +163,6 @@ func (s *Server) reap(seq int) {
 // interrupted classifies a wait cut short by qctx or the stop switch.
 func (s *Server) interrupted(qctx context.Context) outcome {
 	switch {
-	case context.Cause(qctx) == errEvicted:
-		s.met.shedEvicted.Add(1)
-		return outcome{status: http.StatusServiceUnavailable, msg: "evicted by drop-latest-deadline",
-			retryAfter: s.opt.AdmitTimeout, transient: true}
 	case qctx.Err() != nil:
 		s.met.clientGone.Add(1)
 		return outcome{status: 0}

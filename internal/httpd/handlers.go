@@ -55,7 +55,9 @@ func (s *Server) routes() *http.ServeMux {
 
 // clientID attributes a request to a rate-limit principal: the
 // X-Client-ID header when present (load generators and tests), the
-// remote host otherwise.
+// remote host otherwise. The header is taken verbatim and every new id
+// gets a full burst, so the rate limit binds only a client that keeps
+// one id; one that rotates ids is never limited.
 func clientID(r *http.Request) string {
 	if id := r.Header.Get("X-Client-ID"); id != "" {
 		return id
@@ -331,7 +333,6 @@ func (s *Server) Stats() Stats {
 		RateLimited:   s.met.rateLimited.Load(),
 		Backpressure:  s.met.backpressure.Load(),
 		ShedRejected:  s.met.shedRejected.Load(),
-		ShedEvicted:   s.met.shedEvicted.Load(),
 		Unavailable:   s.met.unavailable.Load(),
 		Deadline:      s.met.deadline.Load(),
 		ClientGone:    s.met.clientGone.Load(),
@@ -341,7 +342,6 @@ func (s *Server) Stats() Stats {
 		P99LatencyUs:  p99,
 		QueueDepths:   s.srv.QueueDepths(nil),
 		Inflight:      s.adm.depth(),
-		Policy:        s.opt.Policy.String(),
 		Draining:      s.isDraining(),
 		Serve:         s.srv.SolveStats(),
 		Fault:         s.srv.FaultStats(),

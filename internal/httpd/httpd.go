@@ -1,9 +1,8 @@
 // Package httpd is the network-facing retrieval front end: an HTTP layer
 // over internal/serve built to degrade gracefully rather than fall over.
 // Requests are decoded, rate-limited per client, admitted through a
-// bounded overload controller (shedding by policy once the window,
-// queue depths, or observed p99 cross their thresholds), translated
-// into serve.Query admissions with the client's deadline and
+// bounded window (shedding the newcomer once the window is full),
+// translated into serve.Query admissions with the client's deadline and
 // cancellation propagated, submitted once to a seeded shard draw, and
 // answered with explicit backpressure statuses (429/503 + Retry-After)
 // instead of unbounded queueing. A disk failure never reaches the front
@@ -34,28 +33,19 @@ type Options struct {
 	// MaxInflight bounds the admission window: requests past decode and
 	// rate limiting that have not yet been answered. <= 0 means 256.
 	MaxInflight int
-	// Policy selects the shed behavior at the overload boundary.
+	// Policy names the shed behavior at the window's boundary. RejectNew
+	// is its one value and the zero value; the field stays only because
+	// perfbench/server.go sets it.
 	Policy Policy
-	// ShedQueueDepth, when positive, sheds (by Policy) while the summed
-	// shard queue depth is at or above it, even with window capacity
-	// free. 0 disables the queue-depth trigger.
-	ShedQueueDepth int
-	// ShedP99 sheds (by Policy) while the observed served p99 exceeds
-	// it. 0 disables the latency trigger.
-	ShedP99 time.Duration
 	// RatePerSec and RateBurst configure the per-client token bucket.
 	// Tokens are charged per query, not per request — a /v1/submit
 	// batch costs one token per item, debited as debt past the burst —
-	// so batching cannot multiply a client's effective rate.
+	// so batching cannot multiply a client's effective rate. The limit
+	// binds only a client that keeps one id: every new id starts with a
+	// full burst (see clientID).
 	// RatePerSec <= 0 disables rate limiting. RateBurst < 1 means 1.
 	RatePerSec float64
 	RateBurst  float64
-	// AdmitTimeout bounds how long a dispatch may block on a full shard
-	// queue before answering 429 backpressure. <= 0 means 100ms.
-	AdmitTimeout time.Duration
-	// DefaultDeadline applies to requests that carry no deadline of
-	// their own. 0 means none.
-	DefaultDeadline time.Duration
 	// Limits bound request decoding; the Buckets/Disks id bounds are
 	// filled from the system and allocation when zero.
 	Limits Limits
@@ -70,9 +60,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
-	}
-	if o.AdmitTimeout <= 0 {
-		o.AdmitTimeout = 100 * time.Millisecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -142,7 +129,7 @@ func New(sys *storage.System, alloc *decluster.Allocation, opt Options) (*Server
 		sys:      sys,
 		alloc:    alloc,
 		opt:      opt,
-		adm:      newAdmitter(opt.MaxInflight, opt.Policy),
+		adm:      newAdmitter(opt.MaxInflight),
 		rl:       newRateLimiter(opt.RatePerSec, opt.RateBurst),
 		met:      newMetrics(time.Now()),
 		seqFree:  make(chan int, total),

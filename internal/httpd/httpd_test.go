@@ -37,25 +37,42 @@ func newFrontend(t *testing.T, opt Options) (*Server, *httptest.Server) {
 	return s, hs
 }
 
-func post(t *testing.T, url, body string, hdr map[string]string) (int, []byte) {
-	t.Helper()
+// answer is one HTTP exchange; err is set when it failed in transport.
+type answer struct {
+	status int
+	body   []byte
+	header http.Header
+	err    error
+}
+
+// send posts body to url. It is safe to call from any goroutine.
+func send(url, body string, hdr map[string]string) answer {
 	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return answer{err: err}
 	}
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return answer{err: err}
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+		return answer{err: err}
 	}
-	return resp.StatusCode, buf.Bytes()
+	return answer{status: resp.StatusCode, body: buf.Bytes(), header: resp.Header}
+}
+
+func post(t *testing.T, url, body string, hdr map[string]string) (int, []byte) {
+	t.Helper()
+	a := send(url, body, hdr)
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	return a.status, a.body
 }
 
 func TestQueryRoundTrip(t *testing.T) {
@@ -180,13 +197,11 @@ func TestShedRejectNewWhenWindowFull(t *testing.T) {
 	s, hs := newFrontend(t, Options{MaxInflight: 2})
 
 	// Occupy the whole admission window out-of-band, then knock.
-	id1, ok1 := s.adm.acquire(time.Time{}, func(error) {}, false)
-	id2, ok2 := s.adm.acquire(time.Time{}, func(error) {}, false)
-	if !ok1 || !ok2 {
+	if !s.adm.acquire() || !s.adm.acquire() {
 		t.Fatal("setup: could not fill the window")
 	}
-	defer s.adm.release(id1)
-	defer s.adm.release(id2)
+	defer s.adm.release()
+	defer s.adm.release()
 
 	status, body := post(t, hs.URL+"/v1/query", `{"buckets":[1]}`, nil)
 	if status != http.StatusServiceUnavailable {

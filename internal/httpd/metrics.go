@@ -10,13 +10,8 @@ import (
 )
 
 // latencyWindow is the sliding sample count behind the p50/p95/p99
-// columns and the overload controller's p99 signal.
+// columns.
 const latencyWindow = 2048
-
-// p99RefreshEvery is how many recorded latencies elapse between
-// recomputations of the cached p99 the overload controller reads; the
-// controller needs a cheap atomic load on every request, not a sort.
-const p99RefreshEvery = 64
 
 // overflowClient is the per-client table key that absorbs every client id
 // first seen after the table holds rateLimiterMaxClients entries, so a
@@ -26,8 +21,7 @@ const p99RefreshEvery = 64
 const overflowClient = "(overflow)"
 
 // metrics is the server's observability state: monotonic counters per
-// outcome class, a sliding latency window, per-client accounting, and
-// the cached p99 the shed controller polls.
+// outcome class, a sliding latency window, and per-client accounting.
 type metrics struct {
 	start time.Time
 
@@ -35,23 +29,19 @@ type metrics struct {
 	served       atomic.Int64 // 200s
 	badRequest   atomic.Int64 // 400/413
 	rateLimited  atomic.Int64 // 429 token bucket, per rejected envelope (pre-decode, size unknown)
-	backpressure atomic.Int64 // 429 admission queue full past AdmitTimeout
+	backpressure atomic.Int64 // 429 admission queue full past admitTimeout
 	shedRejected atomic.Int64 // 503 reject-new shedding
-	shedEvicted  atomic.Int64 // 503 drop-latest-deadline eviction
 	unavailable  atomic.Int64 // 503 draining or server failed
 	deadline     atomic.Int64 // 408/504 budget spent before or during queueing
 	clientGone   atomic.Int64 // request abandoned: client disconnected mid-flight
 	egressBytes  atomic.Int64
 
-	cachedP99Us atomic.Int64
-
 	mu sync.Mutex
-	// ring, ringLen, ringIdx, sinceRefresh, and clients are guarded by mu.
-	ring         [latencyWindow]int64 // microseconds
-	ringLen      int
-	ringIdx      int
-	sinceRefresh int
-	clients      map[string]*clientStats
+	// ring, ringLen, ringIdx, and clients are guarded by mu.
+	ring    [latencyWindow]int64 // microseconds
+	ringLen int
+	ringIdx int
+	clients map[string]*clientStats
 }
 
 // clientStats is the per-client accounting the metrics endpoint exposes.
@@ -66,8 +56,7 @@ func newMetrics(now time.Time) *metrics {
 	return &metrics{start: now, clients: make(map[string]*clientStats)}
 }
 
-// observe records one served query's end-to-end latency and refreshes
-// the cached p99 every p99RefreshEvery samples.
+// observe records one served query's end-to-end latency.
 func (m *metrics) observe(latency time.Duration) {
 	us := latency.Microseconds()
 	m.mu.Lock()
@@ -76,27 +65,7 @@ func (m *metrics) observe(latency time.Duration) {
 	if m.ringLen < latencyWindow {
 		m.ringLen++
 	}
-	m.sinceRefresh++
-	refresh := m.sinceRefresh >= p99RefreshEvery
-	if refresh {
-		m.sinceRefresh = 0
-	}
-	var sample []float64
-	if refresh {
-		sample = make([]float64, m.ringLen)
-		for i := 0; i < m.ringLen; i++ {
-			sample[i] = float64(m.ring[i])
-		}
-	}
 	m.mu.Unlock()
-	if refresh {
-		m.cachedP99Us.Store(int64(stats.Percentile(sample, 99)))
-	}
-}
-
-// p99 is the overload controller's cheap read of the latest cached p99.
-func (m *metrics) p99() time.Duration {
-	return time.Duration(m.cachedP99Us.Load()) * time.Microsecond
 }
 
 // percentiles computes p50/p95/p99 over the current window for the
@@ -168,7 +137,6 @@ type Stats struct {
 	RateLimited  int64 `json:"rate_limited"`
 	Backpressure int64 `json:"backpressure"`
 	ShedRejected int64 `json:"shed_rejected"`
-	ShedEvicted  int64 `json:"shed_evicted"`
 	Unavailable  int64 `json:"unavailable"`
 	Deadline     int64 `json:"deadline"`
 	ClientGone   int64 `json:"client_gone"`
@@ -183,10 +151,9 @@ type Stats struct {
 	P95LatencyUs float64 `json:"p95_latency_us"`
 	P99LatencyUs float64 `json:"p99_latency_us"`
 
-	QueueDepths []int  `json:"queue_depths"`
-	Inflight    int    `json:"inflight"`
-	Policy      string `json:"policy"`
-	Draining    bool   `json:"draining"`
+	QueueDepths []int `json:"queue_depths"`
+	Inflight    int   `json:"inflight"`
+	Draining    bool  `json:"draining"`
 
 	Serve serve.SolveStats `json:"serve"`
 	Fault serve.FaultStats `json:"fault"`

@@ -1,102 +1,74 @@
 package httpd
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-// TestShedEvictionCountedByVictim pins where an eviction is counted: by
-// the victim, when it answers 503, not by the newcomer that evicted it.
-// A victim whose result wins the race answers 200 and counts as served,
-// so counting at the evicting side would tally one request twice.
-func TestShedEvictionCountedByVictim(t *testing.T) {
-	s, _ := newFrontend(t, Options{MaxInflight: 1, Policy: DropLatestDeadline})
+// answered sums every outcome class the front end counts. Every request
+// refused before dispatch and every dispatched query lands in exactly one
+// class, so after the last answer it equals Stats.Requests, and the
+// number of dispatch calls when a test drives dispatch directly.
+func answered(st Stats) int64 {
+	return st.Served + st.BadRequest + st.RateLimited + st.Backpressure + st.ShedRejected +
+		st.Unavailable + st.Deadline + st.ClientGone
+}
 
-	// The victim: an out-of-band entry with no deadline, the most
-	// patient admissible request, filling the whole window.
-	vctx, vcancel := context.WithCancelCause(context.Background())
-	defer vcancel(nil)
-	id, ok := s.adm.acquire(time.Time{}, vcancel, false)
-	if !ok {
-		t.Fatal("setup: could not fill the window")
-	}
-	defer s.adm.release(id)
-
-	o := s.dispatch(context.Background(), QueryRequest{Buckets: []int{1}, DeadlineMs: 2000}, s.pickShard())
-	if o.status != http.StatusOK {
-		t.Fatalf("urgent newcomer: %d %q, want 200", o.status, o.msg)
-	}
-	if context.Cause(vctx) != errEvicted {
-		t.Fatalf("victim cause %v, want errEvicted", context.Cause(vctx))
-	}
-	if got := s.Stats().ShedEvicted; got != 0 {
-		t.Fatalf("shed_evicted %d before the victim answered, want 0", got)
-	}
-
-	if vo := s.interrupted(vctx); vo.status != http.StatusServiceUnavailable {
-		t.Fatalf("victim answered %d %q, want 503", vo.status, vo.msg)
-	}
-	if got := s.Stats().ShedEvicted; got != 1 {
-		t.Fatalf("shed_evicted %d after the victim answered, want 1", got)
+// reconciled fails the test unless every request received has been
+// counted in exactly one outcome class.
+func reconciled(t *testing.T, s *Server) {
+	t.Helper()
+	if st := s.Stats(); st.Requests != answered(st) {
+		t.Fatalf("requests %d, outcomes %d: %+v", st.Requests, answered(st), st)
 	}
 }
 
-// TestShedOverloadReconciles drives each shed policy through a steady
+// TestShedOverloadReconciles drives reject-new shedding through a steady
 // phase that must not shed and a flash crowd far past the admission
 // window. Every request must get an HTTP answer, the crowd must still be
 // served, and the counters must reconcile: requests equal served plus
 // every reject class. Shedding itself is likely but not required here;
-// TestShedRejectNewWhenWindowFull and the admitter tests pin that path.
+// TestShedRejectNewWhenWindowFull and TestAdmitterRejectNew pin that path.
 func TestShedOverloadReconciles(t *testing.T) {
-	for _, policy := range []Policy{RejectNew, DropLatestDeadline} {
-		t.Run(policy.String(), func(t *testing.T) {
-			s, hs := newFrontend(t, Options{MaxInflight: 4, Policy: policy})
+	t.Run("reject-new", func(t *testing.T) {
+		s, hs := newFrontend(t, Options{MaxInflight: 4})
 
-			// Steady: two closed-loop clients, well inside the window.
-			statuses := fire(hs.URL, 2, 50, func(c, i int) string {
-				return fmt.Sprintf(`{"buckets":[%d,%d,%d]}`, (c+i)%36, (c+i+7)%36, (c+i+14)%36)
-			})
-			for st, n := range statuses {
-				if st != http.StatusOK {
-					t.Fatalf("steady phase: %d answers with status %d, want only 200", n, st)
-				}
-			}
-			if st := s.Stats(); st.ShedRejected+st.ShedEvicted != 0 {
-				t.Fatalf("steady phase shed: rejected %d, evicted %d", st.ShedRejected, st.ShedEvicted)
-			}
-
-			// Overload: 64 clients released at once, 5 queries each, with
-			// deadlines spread over 200-1000 ms.
-			statuses = fire(hs.URL, 64, 5, func(c, i int) string {
-				return fmt.Sprintf(`{"buckets":[%d,%d,%d],"deadline_ms":%d}`,
-					c%36, (c+i+5)%36, (c+2*i+11)%36, 200+(c*37+i*101)%801)
-			})
-			for st, n := range statuses {
-				switch st {
-				case http.StatusOK, http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-				default:
-					t.Errorf("overload phase: %d answers with status %d", n, st)
-				}
-			}
-			if statuses[http.StatusOK] == 0 {
-				t.Fatalf("overload phase served nothing: %v", statuses)
-			}
-
-			st := s.Stats()
-			outcomes := st.Served + st.BadRequest + st.RateLimited + st.Backpressure + st.ShedRejected +
-				st.ShedEvicted + st.Unavailable + st.Deadline + st.ClientGone
-			if st.Requests != outcomes {
-				t.Fatalf("requests %d, outcomes %d: %+v", st.Requests, outcomes, st)
-			}
-			slotsRestored(t, s)
+		// Steady: two closed-loop clients, well inside the window.
+		statuses := fire(hs.URL, 2, 50, func(c, i int) string {
+			return fmt.Sprintf(`{"buckets":[%d,%d,%d]}`, (c+i)%36, (c+i+7)%36, (c+i+14)%36)
 		})
-	}
+		for st, n := range statuses {
+			if st != http.StatusOK {
+				t.Fatalf("steady phase: %d answers with status %d, want only 200", n, st)
+			}
+		}
+		if st := s.Stats(); st.ShedRejected != 0 {
+			t.Fatalf("steady phase shed %d requests", st.ShedRejected)
+		}
+
+		// Overload: 64 clients released at once, 5 queries each, with
+		// deadlines spread over 200-1000 ms.
+		statuses = fire(hs.URL, 64, 5, func(c, i int) string {
+			return fmt.Sprintf(`{"buckets":[%d,%d,%d],"deadline_ms":%d}`,
+				c%36, (c+i+5)%36, (c+2*i+11)%36, 200+(c*37+i*101)%801)
+		})
+		for st, n := range statuses {
+			switch st {
+			case http.StatusOK, http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			default:
+				t.Errorf("overload phase: %d answers with status %d", n, st)
+			}
+		}
+		if statuses[http.StatusOK] == 0 {
+			t.Fatalf("overload phase served nothing: %v", statuses)
+		}
+		reconciled(t, s)
+		slotsRestored(t, s)
+	})
 }
 
 // fire releases clients goroutines at once, each posting perClient
