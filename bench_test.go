@@ -194,6 +194,7 @@ func BenchmarkAblationEngines(b *testing.B) {
 		for d := 0; d < nd; d++ {
 			g.AddEdge(1+q+d, t, int64(q/nd)+1)
 		}
+		g.Freeze()
 		return g, s, t
 	}
 	engines := []struct {
@@ -238,6 +239,7 @@ func BenchmarkAblationGlobalRelabel(b *testing.B) {
 			// return to the source, the regime the heuristics exist for.
 			g.AddEdge(1+q+d, t, int64(q/(2*nd)))
 		}
+		g.Freeze()
 		return g, s, t
 	}
 	for _, cfg := range []struct {

@@ -1,42 +1,41 @@
 // Package flowgraph provides the residual flow network shared by every
 // max-flow engine in this repository.
 //
-// The representation is the classic paired-arc adjacency list: arc a and
-// arc a^1 are duals (the reverse arc carries the negated flow), so the
-// residual capacity of any arc is Cap[a]-Flow[a] and pushing delta over a
-// is two array writes. Arc indices are stable after AddEdge, which is what
-// lets the integrated retrieval algorithms retune disk-edge capacities
-// between max-flow runs while conserving all previously computed flow.
+// The representation is the classic paired-arc store: arc a and arc a^1
+// are duals (the reverse arc carries the negated flow), so the residual
+// capacity of any arc is Cap[a]-Flow[a] and pushing delta over a is two
+// array writes. Arc indices are stable after AddEdge, which is what lets
+// the integrated retrieval algorithms retune disk-edge capacities between
+// max-flow runs while conserving all previously computed flow.
+//
+// A graph is built, then frozen, then scanned: Resize and AddEdge build
+// the arc store, Freeze derives the CSR adjacency index from it once, and
+// every engine and walker reads only that index. Editing the arc set
+// empties the index, so scanning a graph edited after its last Freeze
+// panics instead of reading a stale one.
 package flowgraph
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Graph is a directed flow network over vertices [0, N).
 //
-// Flow is exported (alongside Cap, To, Next, Head) so that engines — in
-// particular the lock-free parallel push-relabel, which needs atomic access
-// to the flow array — can operate on the raw arrays without indirection.
+// Flow is exported (alongside To, Cap and the CSR index) so that engines
+// — in particular the lock-free parallel push-relabel, which needs atomic
+// access to the flow array — can operate on the raw arrays without
+// indirection.
 type Graph struct {
 	N    int
 	To   []int32 // To[a]: head vertex of arc a
 	Cap  []int64 // Cap[a]: capacity of arc a (0 for reverse arcs initially)
 	Flow []int64 // Flow[a]: current flow; Flow[a^1] == -Flow[a]
-	Next []int32 // Next[a]: next arc out of the same tail, -1 terminates
-	Head []int32 // Head[v]: first arc out of v, -1 if none
 
-	// CSR adjacency index, valid only while frozen (see Compact). The
-	// arcs out of vertex v are ArcIdx[Start[v]:Start[v+1]], listed in
-	// exactly Head/Next order; the push-relabel engines scan only this
-	// view. Arc indices themselves never move:
-	// Cap/Flow/To stay keyed by the original AddEdge indices, which is
-	// what keeps warm reuse, DrainExcess, and disk-arc retuning valid
-	// across compaction.
+	// CSR adjacency index, built by Freeze and emptied by Resize and
+	// AddEdge. The arcs out of vertex v are ArcIdx[Start[v]:Start[v+1]],
+	// last-added first. Arc indices themselves never move: Cap/Flow/To
+	// stay keyed by the AddEdge indices, which is what keeps warm reuse,
+	// DrainExcess, and disk-arc retuning valid across freezes.
 	Start  []int32 // Start[v]: first slot of v's arc range; len N+1
 	ArcIdx []int32 // ArcIdx[i]: arc id at CSR slot i; len M
-	frozen bool
 }
 
 // New returns an empty graph over n vertices.
@@ -44,27 +43,17 @@ type Graph struct {
 //
 //imflow:allocok
 func New(n int) *Graph {
-	g := &Graph{N: n, Head: make([]int32, n)}
-	for i := range g.Head {
-		g.Head[i] = -1
+	if n < 0 {
+		panic("flowgraph: negative vertex count")
 	}
-	return g
-}
-
-// Reset removes all arcs but keeps the vertex count, allowing the backing
-// arrays to be reused across queries.
-func (g *Graph) Reset() {
-	g.Resize(g.N)
+	return &Graph{N: n}
 }
 
 // Resize removes all arcs and sets the vertex count to n, reusing every
-// backing array (Head grows only when n exceeds its capacity). Together
-// with AddEdge this is the in-place rebuild path of the integrated
-// retrieval solvers: after the first solve on a given problem shape, a
-// Resize + AddEdge sweep performs no allocations.
-// Amortized: growth doubles, so per-edge cost is O(1) over a run.
-//
-//imflow:allocok
+// backing array. Together with AddEdge and Freeze this is the in-place
+// rebuild path of the integrated retrieval solvers: after the first solve
+// on a given problem shape, a Resize + AddEdge + Freeze sweep performs no
+// allocations.
 func (g *Graph) Resize(n int) {
 	if n < 0 {
 		panic("flowgraph: negative vertex count")
@@ -72,16 +61,8 @@ func (g *Graph) Resize(n int) {
 	g.To = g.To[:0]
 	g.Cap = g.Cap[:0]
 	g.Flow = g.Flow[:0]
-	g.Next = g.Next[:0]
-	if cap(g.Head) < n {
-		g.Head = make([]int32, n)
-	}
-	g.Head = g.Head[:n]
-	for i := range g.Head {
-		g.Head[i] = -1
-	}
+	g.Start = g.Start[:0]
 	g.N = n
-	g.frozen = false
 }
 
 // M returns the number of arcs, counting each edge's forward and reverse
@@ -89,8 +70,9 @@ func (g *Graph) Resize(n int) {
 func (g *Graph) M() int { return len(g.To) }
 
 // AddEdge adds a directed edge u->v with the given capacity and returns the
-// forward arc's index a; the reverse arc is a^1 (a is always even).
-// Allocates only on the invariant-violation panic path.
+// forward arc's index a; the reverse arc is a^1 (a is always even). It
+// empties the CSR index; call Freeze before the graph is scanned.
+// Amortized: growth doubles, so per-edge cost is O(1) over a run.
 //
 //imflow:allocok
 func (g *Graph) AddEdge(u, v int, capacity int64) int {
@@ -104,56 +86,48 @@ func (g *Graph) AddEdge(u, v int, capacity int64) int {
 	g.To = append(g.To, int32(v), int32(u))
 	g.Cap = append(g.Cap, capacity, 0)
 	g.Flow = append(g.Flow, 0, 0)
-	g.Next = append(g.Next, g.Head[u], g.Head[v])
-	g.Head[u] = a
-	g.Head[v] = a + 1
-	g.frozen = false
+	g.Start = g.Start[:0]
 	return int(a)
 }
 
-// Compacted reports whether the CSR adjacency index is valid. Any AddEdge
-// or Resize since the last Compact invalidates it.
-func (g *Graph) Compacted() bool { return g.frozen }
-
-// Compact freezes the current arc set into the CSR adjacency index: after
-// it returns, ArcIdx[Start[v]:Start[v+1]] lists the arcs out of v in
-// exactly Head/Next order, and engines traverse those contiguous ranges
-// instead of chasing the Next linked list through memory. Arc indices are
-// NOT remapped — Cap, Flow, To, and every arc id returned by AddEdge keep
-// their meaning — so flows and retuning by arc index survive compaction
-// unchanged. On a frozen graph Compact returns at once, which
-// is what lets every push-relabel Run call it unconditionally; adding an
-// edge or resizing thaws the graph, and the next Compact rebuilds the
-// index. Backing arrays are reused across calls, so re-compacting a
-// same-shape rebuild performs no allocations.
+// Freeze builds the CSR adjacency index of the current arc set: after it
+// returns, ArcIdx[Start[v]:Start[v+1]] lists the arcs whose tail is v in
+// descending id, last-added first. It is one counting sort. The tail of
+// arc a is the head of its dual, so counting To counts every vertex's
+// arcs; an inclusive prefix sum then leaves Start[v] at the end of v's
+// range, and filling each range from its end, in ascending arc id,
+// walks Start[v] back to the range's first slot. Arc indices are NOT
+// remapped, so flows and retuning by arc index are untouched. Backing
+// arrays are reused, so re-freezing a same-shape rebuild performs no
+// allocations.
 // Amortized: growth only when the arc set outgrows prior capacity.
 //
 //imflow:allocok
-func (g *Graph) Compact() {
-	if g.frozen {
-		return
-	}
+func (g *Graph) Freeze() {
 	if cap(g.Start) < g.N+1 {
 		g.Start = make([]int32, g.N+1)
 	}
-	g.Start = g.Start[:g.N+1]
 	if cap(g.ArcIdx) < len(g.To) {
-		g.ArcIdx = make([]int32, 0, len(g.To))
+		g.ArcIdx = make([]int32, len(g.To))
 	}
-	g.ArcIdx = g.ArcIdx[:0]
-	// Single pass over the adjacency chains: the CSR index is defined as
-	// "whatever the Head/Next walk visits, in that order", so it is built
-	// by exactly that walk. (An arc a linked into no chain — possible only
-	// for degenerate edges — is absent from ArcIdx, matching the list
-	// traversal that would never reach it either.)
-	for v := 0; v < g.N; v++ {
-		g.Start[v] = int32(len(g.ArcIdx))
-		for a := g.Head[v]; a >= 0; a = g.Next[a] {
-			g.ArcIdx = append(g.ArcIdx, a)
-		}
+	// Local slice headers: the loops below index through them instead of
+	// reloading g's fields after every store.
+	start, idx, to := g.Start[:g.N+1], g.ArcIdx[:len(g.To)], g.To
+	g.Start, g.ArcIdx = start, idx
+	clear(start)
+	for _, v := range to {
+		start[v]++
 	}
-	g.Start[g.N] = int32(len(g.ArcIdx))
-	g.frozen = true
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	for a := 0; a < len(to); a += 2 { // arc a runs u->v, arc a+1 v->u
+		v, u := to[a], to[a+1]
+		start[u]--
+		idx[start[u]] = int32(a)
+		start[v]--
+		idx[start[v]] = int32(a + 1)
+	}
 }
 
 // Residual returns the residual capacity of arc a.
@@ -222,7 +196,10 @@ func (g *Graph) DrainExcess(s, t int) int64 {
 // back toward s along flow-carrying arcs. Arcs out of v with negative
 // flow are exactly the duals of arcs delivering flow into v.
 func (g *Graph) cancelInto(v, s int, amount int64) {
-	for a := g.Head[v]; a >= 0 && amount > 0; a = g.Next[a] {
+	for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
+		if amount <= 0 {
+			break
+		}
 		if g.Flow[a] >= 0 {
 			continue
 		}
@@ -245,7 +222,10 @@ func (g *Graph) cancelInto(v, s int, amount int64) {
 // cancelOutOf removes amount units of flow leaving v, tracing each unit
 // forward toward t along flow-carrying arcs.
 func (g *Graph) cancelOutOf(v, t int, amount int64) {
-	for a := g.Head[v]; a >= 0 && amount > 0; a = g.Next[a] {
+	for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
+		if amount <= 0 {
+			break
+		}
 		if g.Flow[a] <= 0 {
 			continue
 		}
@@ -276,7 +256,7 @@ func (g *Graph) ZeroFlows() {
 // the source, and minus the flow value when v is the sink.
 func (g *Graph) Outflow(v int) int64 {
 	var sum int64
-	for a := g.Head[v]; a >= 0; a = g.Next[a] {
+	for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
 		sum += g.Flow[a]
 	}
 	return sum
@@ -316,29 +296,12 @@ func (g *Graph) CheckFlow(s, t int) (int64, error) {
 
 // Clone returns a deep copy of the graph, including flows.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
+	return &Graph{
 		N:      g.N,
 		To:     append([]int32(nil), g.To...),
 		Cap:    append([]int64(nil), g.Cap...),
 		Flow:   append([]int64(nil), g.Flow...),
-		Next:   append([]int32(nil), g.Next...),
-		Head:   append([]int32(nil), g.Head...),
 		Start:  append([]int32(nil), g.Start...),
 		ArcIdx: append([]int32(nil), g.ArcIdx...),
-		frozen: g.frozen,
 	}
-	return c
-}
-
-// DOT renders the graph (forward arcs only) in Graphviz format, annotating
-// each edge with flow/capacity. Intended for debugging small networks.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %s {\n", name)
-	for a := 0; a < len(g.To); a += 2 {
-		u, v := g.To[a^1], g.To[a]
-		fmt.Fprintf(&b, "  %d -> %d [label=\"%d/%d\"];\n", u, v, g.Flow[a], g.Cap[a])
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -73,14 +73,15 @@ func TestAdjacencyIteration(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(0, 3, 1)
+	g.Freeze()
 	var targets []int32
-	for a := g.Head[0]; a >= 0; a = g.Next[a] {
+	for _, a := range g.ArcIdx[g.Start[0]:g.Start[1]] {
 		targets = append(targets, g.To[a])
 	}
 	if len(targets) != 3 {
 		t.Fatalf("vertex 0 has %d arcs, want 3", len(targets))
 	}
-	// Linked-list order is reverse insertion order.
+	// Adjacency order is reverse insertion order.
 	if targets[0] != 3 || targets[1] != 2 || targets[2] != 1 {
 		t.Errorf("targets %v", targets)
 	}
@@ -100,6 +101,7 @@ func TestCheckFlowDetectsViolations(t *testing.T) {
 	g := New(3)
 	a := g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 5)
+	g.Freeze()
 	// Conservation violation at vertex 1.
 	g.Flow[a] = 3
 	g.Flow[a^1] = -3
@@ -137,28 +139,11 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 5)
-	g.Reset()
-	if g.M() != 0 {
-		t.Error("arcs survived reset")
-	}
-	for v := 0; v < 3; v++ {
-		if g.Head[v] != -1 {
-			t.Error("head not cleared")
-		}
-	}
-	a := g.AddEdge(1, 2, 3)
-	if a != 0 {
-		t.Error("arc ids not restarted")
-	}
-}
-
 func TestOutflow(t *testing.T) {
 	g := New(3)
 	a := g.AddEdge(0, 1, 5)
 	b := g.AddEdge(0, 2, 5)
+	g.Freeze()
 	g.Push(a, 2)
 	g.Push(b, 3)
 	if g.Outflow(0) != 5 || g.FlowValue(0) != 5 {
@@ -166,18 +151,6 @@ func TestOutflow(t *testing.T) {
 	}
 	if g.Outflow(1) != -2 {
 		t.Errorf("outflow(1) = %d", g.Outflow(1))
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := New(2)
-	a := g.AddEdge(0, 1, 5)
-	g.Push(a, 2)
-	dot := g.DOT("test")
-	for _, want := range []string{"digraph test", "0 -> 1", "2/5"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
 	}
 }
 
@@ -226,6 +199,7 @@ func drainNet(t *testing.T) (g *Graph, src1, src2, b1d1, b2d1, d1t, d2t int) {
 	_ = g.AddEdge(2, 4, 1)
 	d1t = g.AddEdge(3, 5, 2)
 	d2t = g.AddEdge(4, 5, 2)
+	g.Freeze()
 	for _, a := range []int{src1, b1d1, src2, b2d1} {
 		g.Push(a, 1)
 	}

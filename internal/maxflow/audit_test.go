@@ -37,6 +37,7 @@ func TestAuditFlowPanicsOnCorruptFlow(t *testing.T) {
 func TestAuditPanicsOnNonMaximalFlow(t *testing.T) {
 	g := flowgraph.New(2)
 	g.AddEdge(0, 1, 3) // zero flow is feasible but not maximal
+	g.Freeze()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Audit did not panic on non-maximal flow")
@@ -62,7 +63,7 @@ func TestAuditPanicsOnInvalidLabels(t *testing.T) {
 			continue
 		}
 		routed := false
-		for b := g.Head[u]; b >= 0; b = g.Next[b] {
+		for _, b := range g.ArcIdx[g.Start[u]:g.Start[u+1]] {
 			if int(g.To[b]) == s && g.Flow[b] < 0 {
 				routed = true
 			}

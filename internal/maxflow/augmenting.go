@@ -17,10 +17,10 @@ type FordFulkerson struct {
 }
 
 // dfsFrame is one suspended vertex of the iterative DFS: the vertex and
-// the next arc to try out of it.
+// the CSR position of the next arc to try out of it.
 type dfsFrame struct {
 	v   int32
-	arc int32
+	pos int32
 }
 
 // NewFordFulkerson returns an engine bound to g.
@@ -115,24 +115,25 @@ func (f *FordFulkerson) dfs(from, t int) bool {
 		return true
 	}
 	f.visited[from] = f.stamp
-	// Explicit stack of (vertex, next arc to try), reused across calls.
-	f.stack = append(f.stack[:0], dfsFrame{int32(from), g.Head[from]})
+	// Explicit stack of (vertex, next position to try), reused across calls.
+	f.stack = append(f.stack[:0], dfsFrame{int32(from), g.Start[from]})
 	for len(f.stack) > 0 {
 		top := &f.stack[len(f.stack)-1]
 		advanced := false
-		for a := top.arc; a >= 0; a = g.Next[a] {
+		for pos := top.pos; pos < g.Start[top.v+1]; pos++ {
+			a := g.ArcIdx[pos]
 			f.metrics.ArcScans++
 			w := g.To[a]
 			if g.Residual(int(a)) <= 0 || f.visited[w] == f.stamp {
 				continue
 			}
-			top.arc = g.Next[a] // resume point for this frame
+			top.pos = pos + 1 // resume point for this frame
 			f.arcs = append(f.arcs, a)
 			if int(w) == t {
 				return true
 			}
 			f.visited[w] = f.stamp
-			f.stack = append(f.stack, dfsFrame{w, g.Head[w]})
+			f.stack = append(f.stack, dfsFrame{w, g.Start[w]})
 			advanced = true
 			break
 		}
@@ -198,7 +199,7 @@ func (e *EdmondsKarp) Run(s, t int) int64 {
 	bfs:
 		for head := 0; head < len(e.queue); head++ {
 			v := e.queue[head]
-			for a := g.Head[v]; a >= 0; a = g.Next[a] {
+			for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
 				e.metrics.ArcScans++
 				w := g.To[a]
 				if e.parent[w] != -1 || g.Residual(int(a)) <= 0 {

@@ -25,7 +25,7 @@ var certEngines = []func(*flowgraph.Graph) maxflow.Engine{
 	func(g *flowgraph.Graph) maxflow.Engine { return parallel.New(g, 4) },
 }
 
-// sprinkle builds a random digraph avoiding arcs into s and out of t.
+// sprinkle builds a frozen random digraph with no arcs into s or out of t.
 func sprinkle(rng *xrand.Source, n, m int, maxCap int64) (*flowgraph.Graph, int, int) {
 	g := flowgraph.New(n)
 	s, t := 0, n-1
@@ -36,6 +36,7 @@ func sprinkle(rng *xrand.Source, n, m int, maxCap int64) (*flowgraph.Graph, int,
 		}
 		g.AddEdge(u, v, int64(rng.Intn(int(maxCap)))+1)
 	}
+	g.Freeze()
 	return g, s, t
 }
 

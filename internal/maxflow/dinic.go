@@ -9,7 +9,7 @@ import "imflow/internal/flowgraph"
 type Dinic struct {
 	g       *flowgraph.Graph
 	level   []int32
-	iter    []int32
+	iter    []int32 // CSR position of each vertex's current arc; Start[v+1] once exhausted
 	queue   []int32
 	metrics Metrics
 }
@@ -51,7 +51,7 @@ func (d *Dinic) Run(s, t int) int64 {
 		d.iter = make([]int32, g.N)
 	}
 	for d.bfs(s, t) {
-		copy(d.iter[:g.N], g.Head)
+		copy(d.iter[:g.N], g.Start)
 		for {
 			pushed := d.dfs(s, t, int64(1)<<62)
 			if pushed == 0 {
@@ -73,7 +73,7 @@ func (d *Dinic) bfs(s, t int) bool {
 	d.queue = append(d.queue[:0], int32(s))
 	for head := 0; head < len(d.queue); head++ {
 		v := d.queue[head]
-		for a := g.Head[v]; a >= 0; a = g.Next[a] {
+		for _, a := range g.ArcIdx[g.Start[v]:g.Start[v+1]] {
 			d.metrics.ArcScans++
 			w := g.To[a]
 			if d.level[w] < 0 && g.Residual(int(a)) > 0 {
@@ -91,8 +91,8 @@ func (d *Dinic) dfs(v, t int, limit int64) int64 {
 		return limit
 	}
 	g := d.g
-	for a := d.iter[v]; a >= 0; a = g.Next[a] {
-		d.iter[v] = a
+	for ; d.iter[v] < g.Start[v+1]; d.iter[v]++ {
+		a := g.ArcIdx[d.iter[v]]
 		d.metrics.ArcScans++
 		w := g.To[a]
 		if g.Residual(int(a)) <= 0 || d.level[w] != d.level[v]+1 {
@@ -108,6 +108,5 @@ func (d *Dinic) dfs(v, t int, limit int64) int64 {
 		}
 		d.level[w] = -1 // dead end; prune
 	}
-	d.iter[v] = -1
 	return 0
 }

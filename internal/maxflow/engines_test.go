@@ -7,7 +7,7 @@ import (
 	"imflow/internal/xrand"
 )
 
-// bipartiteRetrievalGraph builds a graph shaped like the retrieval
+// bipartiteRetrievalGraph builds a frozen graph shaped like the retrieval
 // networks: unit source and replica arcs, capacitated disk arcs.
 func bipartiteRetrievalGraph(rng *xrand.Source, q, nd int, sinkCap int64) (*flowgraph.Graph, int, int) {
 	g := flowgraph.New(q + nd + 2)
@@ -24,6 +24,7 @@ func bipartiteRetrievalGraph(rng *xrand.Source, q, nd int, sinkCap int64) (*flow
 	for d := 0; d < nd; d++ {
 		g.AddEdge(1+q+d, t, sinkCap)
 	}
+	g.Freeze()
 	return g, s, t
 }
 
@@ -142,6 +143,7 @@ func TestParallelEdges(t *testing.T) {
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(0, 1, 3)
 	g.AddEdge(1, 2, 4)
+	g.Freeze()
 	for _, mk := range allEngines {
 		gc := g.Clone()
 		if got := mk(gc).Run(0, 2); got != 4 {

@@ -16,6 +16,7 @@ func ExamplePushRelabel() {
 	g.AddEdge(s, 2, 10)
 	a := g.AddEdge(1, t, 5)
 	g.AddEdge(2, t, 5)
+	g.Freeze()
 
 	pr := maxflow.NewPushRelabel(g)
 	fmt.Println("first run:", pr.Run(s, t))
@@ -38,6 +39,7 @@ func ExampleMinCut() {
 	g.AddEdge(s, 2, 2)
 	g.AddEdge(1, t, 2)
 	g.AddEdge(2, t, 3)
+	g.Freeze()
 
 	flow := maxflow.NewDinic(g).Run(s, t)
 	cut := maxflow.MinCut(g, s)

@@ -15,10 +15,11 @@ import "imflow/internal/flowgraph"
 
 // Engine is a maximum-flow solver operating on a shared residual graph.
 // Run augments the graph's current flow to a maximum s-t flow and returns
-// the resulting flow value.
+// the resulting flow value. It scans only the graph's CSR index, so the
+// graph must be frozen (flowgraph.Freeze) since its last edit.
 //
 // Reset prepares the engine for reuse after its graph has been rebuilt in
-// place (flowgraph.Resize/Reset followed by AddEdge calls): internal
+// place (flowgraph.Resize, AddEdge calls, then Freeze): internal
 // scratch arrays are re-synced to the graph's current dimensions —
 // growing only when the graph outgrew them, never reallocating otherwise
 // — and any state carried across Run calls (visitation stamps, queues)

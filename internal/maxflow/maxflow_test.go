@@ -15,7 +15,8 @@ var allEngines = []func(*flowgraph.Graph) Engine{
 	func(g *flowgraph.Graph) Engine { return NewPushRelabel(g) },
 }
 
-// buildFixed returns the classic CLRS example network with max flow 23.
+// buildFixed returns the classic CLRS example network with max flow 23,
+// frozen.
 func buildFixed() (*flowgraph.Graph, int, int) {
 	g := flowgraph.New(6)
 	s, t := 0, 5
@@ -29,6 +30,7 @@ func buildFixed() (*flowgraph.Graph, int, int) {
 	g.AddEdge(4, 3, 7)
 	g.AddEdge(3, 5, 20)
 	g.AddEdge(4, 5, 4)
+	g.Freeze()
 	return g, s, t
 }
 
@@ -50,6 +52,7 @@ func TestEnginesOnDisconnectedSink(t *testing.T) {
 		g := flowgraph.New(4)
 		g.AddEdge(0, 1, 5)
 		g.AddEdge(2, 3, 5) // sink side unreachable from source side
+		g.Freeze()
 		e := mk(g)
 		if got := e.Run(0, 3); got != 0 {
 			t.Errorf("%s: flow %d on disconnected network, want 0", e.Name(), got)
@@ -60,7 +63,8 @@ func TestEnginesOnDisconnectedSink(t *testing.T) {
 	}
 }
 
-// randomGraph builds a random layered-ish network with some back edges.
+// randomGraph builds a frozen random layered-ish network with some back
+// edges.
 func randomGraph(rng *xrand.Source, n, m int, maxCap int64) (*flowgraph.Graph, int, int) {
 	g := flowgraph.New(n)
 	s, t := 0, n-1
@@ -72,6 +76,7 @@ func randomGraph(rng *xrand.Source, n, m int, maxCap int64) (*flowgraph.Graph, i
 		}
 		g.AddEdge(u, v, int64(rng.Intn(int(maxCap)))+1)
 	}
+	g.Freeze()
 	return g, s, t
 }
 

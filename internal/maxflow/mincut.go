@@ -16,17 +16,15 @@ func MinCut(g *flowgraph.Graph, s int) (reachable []bool) {
 
 // ResidualReach marks in reached (g.N entries, overwritten) every vertex
 // reachable from s over arcs with residual capacity, by a breadth-first
-// search of the CSR index (it compacts g first, a no-op on a frozen
-// graph). It returns the reached vertices in visit order, s first, in
-// queue's backing array. Under a maximum flow the reached set is the
-// source side of the minimum cut that every maximum flow shares, the one
-// with the fewest vertices. A caller that passes back the returned queue
-// and a queue of g.N capacity allocates nothing.
+// search of the CSR index. It returns the reached vertices in visit
+// order, s first, in queue's backing array. Under a maximum flow the
+// reached set is the source side of the minimum cut that every maximum
+// flow shares, the one with the fewest vertices. A caller that passes
+// back the returned queue and a queue of g.N capacity allocates nothing.
 // Amortized: the queue grows only while its capacity is short of g.N.
 //
 //imflow:allocok
 func ResidualReach(g *flowgraph.Graph, s int, reached []bool, queue []int32) []int32 {
-	g.Compact()
 	reached = reached[:g.N]
 	for i := range reached {
 		reached[i] = false

@@ -135,9 +135,7 @@ func (s *Solver) Metrics() *maxflow.Metrics { return &s.metrics }
 func (s *Solver) Threads() int { return s.threads }
 
 // Run augments the graph's current flow to a maximum s-t flow and returns
-// its value. It compacts the graph in its sequential preparation (a no-op
-// on a frozen graph); the index is read-only while the workers run, and
-// every adjacency scan reads the contiguous CSR ranges.
+// its value. The CSR index is read-only while the workers run.
 //
 // Run touches the atomic arrays plainly only in its sequential sections:
 // the preparation before any worker goroutine starts and the write-back
@@ -152,7 +150,6 @@ func (s *Solver) Threads() int { return s.threads }
 //imflow:allocok
 func (s *Solver) Run(src, sink int) int64 {
 	g := s.g
-	g.Compact()
 	n := g.N
 	if len(s.excess) < n {
 		s.excess = make([]int64, n)

@@ -19,6 +19,7 @@ func randomGraph(rng *xrand.Source, n, m int, maxCap int64) (*flowgraph.Graph, i
 		}
 		g.AddEdge(u, v, int64(rng.Intn(int(maxCap)))+1)
 	}
+	g.Freeze()
 	return g, s, t
 }
 
@@ -90,6 +91,7 @@ func TestParallelBipartiteRetrievalShape(t *testing.T) {
 		for d := 0; d < nd; d++ {
 			g.AddEdge(1+q+d, snk, int64(rng.Intn(q/nd+2)))
 		}
+		g.Freeze()
 		want := maxflow.NewEdmondsKarp(g.Clone()).Run(s, snk)
 		for _, threads := range []int{2, 4} {
 			gc := g.Clone()
@@ -110,6 +112,7 @@ func TestParallelZeroActive(t *testing.T) {
 	g := flowgraph.New(3)
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(1, 2, 5)
+	g.Freeze()
 	p := New(g, 4)
 	if got := p.Run(0, 2); got != 0 {
 		t.Fatalf("flow %d, want 0", got)
@@ -119,6 +122,7 @@ func TestParallelZeroActive(t *testing.T) {
 func TestThreadsClampedToOne(t *testing.T) {
 	g := flowgraph.New(2)
 	g.AddEdge(0, 1, 3)
+	g.Freeze()
 	p := New(g, 0)
 	if p.Threads() != 1 {
 		t.Fatalf("threads %d, want 1", p.Threads())
@@ -145,6 +149,7 @@ func TestParallelStressManyRuns(t *testing.T) {
 	for d := 0; d < nd; d++ {
 		sinkArcs = append(sinkArcs, g.AddEdge(1+q+d, snk, 0))
 	}
+	g.Freeze()
 	p := New(g, 4)
 	for round := 0; round < 12; round++ {
 		// Raise a random subset of sink capacities.
@@ -178,6 +183,7 @@ func TestParallelFlowCycleDrain(t *testing.T) {
 	g.AddEdge(b, c, 10)
 	g.AddEdge(c, a, 10)
 	g.AddEdge(b, tt, 2)
+	g.Freeze()
 	for _, threads := range []int{1, 2, 4} {
 		gc := g.Clone()
 		p := New(gc, threads)

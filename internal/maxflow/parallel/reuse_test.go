@@ -35,6 +35,7 @@ func TestParallelResetInterleavedReuse(t *testing.T) {
 			for a := 0; a < pb.proto.M(); a += 2 {
 				g.AddEdge(int(pb.proto.To[a^1]), int(pb.proto.To[a]), pb.proto.Cap[a])
 			}
+			g.Freeze()
 			solver.Reset()
 			if got := solver.Run(pb.s, pb.t); got != pb.want {
 				t.Fatalf("round %d threads %d: flow %d, want %d", round, threads, got, pb.want)

@@ -39,6 +39,7 @@ func denseGraph(rng *xrand.Source, n int, maxCap int64) (*flowgraph.Graph, int, 
 			g.AddEdge(u, v, int64(rng.Intn(int(maxCap)))+1)
 		}
 	}
+	g.Freeze()
 	return g, 0, n - 1
 }
 
@@ -56,6 +57,7 @@ func narrowBipartite(rng *xrand.Source, q, nd int) (*flowgraph.Graph, int, int) 
 	for d := 0; d < nd; d++ {
 		g.AddEdge(1+q+d, t, int64(q/nd+1))
 	}
+	g.Freeze()
 	return g, s, t
 }
 
@@ -77,6 +79,7 @@ func ringGraph(rng *xrand.Source, n int, maxCap int64) (*flowgraph.Graph, int, i
 	if g.M() == 0 {
 		g.AddEdge(0, n-1, 1)
 	}
+	g.Freeze()
 	return g, 0, n - 1
 }
 

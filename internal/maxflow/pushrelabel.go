@@ -77,8 +77,7 @@ func (pr *PushRelabel) Reset() {
 }
 
 // Run augments the current flow to a maximum s-t flow and returns its
-// value. It compacts the graph first (a no-op on a frozen graph), so
-// every adjacency scan reads the contiguous CSR ranges.
+// value.
 // Per-solve scratch is engine-owned and amortized across reuse.
 //
 //imflow:allocok
@@ -124,13 +123,12 @@ func (pr *PushRelabel) Resume(s, t int) int64 {
 	return pr.runFIFO(s, t)
 }
 
-// saturate compacts the graph, clears the per-run state, and saturates
-// the residual source arcs: the current flow plus these pushes is a
-// preflow whose excesses sit at the source's neighbors. It returns the
-// flow the source arcs already carried and the excess it added.
+// saturate clears the per-run state and saturates the residual source
+// arcs: the current flow plus these pushes is a preflow whose excesses
+// sit at the source's neighbors. It returns the flow the source arcs
+// already carried and the excess it added.
 func (pr *PushRelabel) saturate(s int) (kept, added int64) {
 	g := pr.g
-	g.Compact()
 	n := g.N
 	pr.ensureSize(n)
 	for i := 0; i < n; i++ {

@@ -8,13 +8,14 @@ import (
 )
 
 // rebuildInto reconstructs proto's topology (zero flow) into g using the
-// in-place Resize + AddEdge path — the same rebuild discipline the
-// retrieval solvers use between solves.
+// in-place Resize + AddEdge + Freeze path — the same rebuild discipline
+// the retrieval solvers use between solves.
 func rebuildInto(g, proto *flowgraph.Graph) {
 	g.Resize(proto.N)
 	for a := 0; a < proto.M(); a += 2 {
 		g.AddEdge(int(proto.To[a^1]), int(proto.To[a]), proto.Cap[a])
 	}
+	g.Freeze()
 }
 
 // TestResetInterleavedReuse drives every engine through a randomized

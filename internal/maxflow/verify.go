@@ -9,9 +9,9 @@ import (
 // VerifyFlow is an independent double-entry audit of the graph's current
 // flow: capacity constraints and antisymmetry on every arc, and
 // conservation at every vertex other than s and t, accumulated by a
-// global sweep over the arc arrays rather than through the adjacency
-// lists (so a corrupted Head/Next chain cannot hide an imbalance). It
-// returns the flow value on success.
+// global sweep over the arc arrays rather than through the CSR index
+// (so a corrupted index cannot hide an imbalance). It returns the flow
+// value on success.
 //
 // It deliberately re-implements flowgraph.CheckFlow instead of calling
 // it: the two walk the representation differently, so a bug would have

@@ -13,6 +13,7 @@ func solvedPath(t *testing.T) *flowgraph.Graph {
 	g := flowgraph.New(3)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 5)
+	g.Freeze()
 	if got := NewEdmondsKarp(g).Run(0, 2); got != 5 {
 		t.Fatalf("path flow %d, want 5", got)
 	}
@@ -119,6 +120,7 @@ func TestCertifyRejectsNonMaximalFlow(t *testing.T) {
 	g := flowgraph.New(3)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 5)
+	g.Freeze()
 	// With zero flow the residual graph reaches the sink, so the induced
 	// "cut" contains it.
 	wantVerifyError(t, Certify(g, 0, 2), "sink")

@@ -108,10 +108,9 @@ func (net *network) seed() {
 		if g.Residual(a) == 0 {
 			continue // dead, or already routed
 		}
-		// Bucket i's arcs to its replicas follow its source arc, in list
-		// order (rebuildMasked).
 		arc, disk, room := 0, 0, int64(0)
-		for b := a + 2; b < a+2+2*len(net.prob.Replicas[i]); b += 2 {
+		first, end := net.replicaArcs(i)
+		for b := first; b < end; b += 2 {
 			k := int(g.To[b]) - net.q - 1
 			if r := g.Residual(net.diskArc[k]); r > room {
 				arc, disk, room = b, k, r

@@ -34,6 +34,7 @@ func flowgraphForMask(p *Problem, mask *DiskMask) *flowgraph.Graph {
 		}
 		g.AddEdge(q+1+d, sink, c)
 	}
+	g.Freeze()
 	return g
 }
 

@@ -284,7 +284,8 @@ func buildNetwork(p *Problem) *network {
 // rebuild reconstructs the network for p in place, reusing every backing
 // array from previous builds (including the graph's). After the first call
 // on a given problem shape, rebuild performs no allocations. The graph
-// comes back with zero flow everywhere and zero disk->sink capacities.
+// comes back frozen, with zero flow everywhere and zero disk->sink
+// capacities.
 func (net *network) rebuild(p *Problem) {
 	net.rebuildMasked(p, nil)
 }
@@ -366,6 +367,7 @@ func (net *network) rebuildMasked(p *Problem, mask *DiskMask) {
 		net.diskArc[k] = g.AddEdge(net.diskVtx[k], net.t, 0)
 		net.caps[k] = 0
 	}
+	g.Freeze()
 	net.prob = p
 	net.recordSignature(p)
 }
@@ -397,10 +399,20 @@ func (net *network) capsForTime(t cost.Micros) {
 // bucketVertex returns the vertex of bucket i.
 func (net *network) bucketVertex(i int) int { return 1 + i }
 
+// replicaArcs returns the forward arcs [first, end), stepping by 2, from
+// bucket i to its replicas' disks: rebuildMasked adds them right after
+// the bucket's source arc, in replica-list order.
+func (net *network) replicaArcs(i int) (first, end int) {
+	first = net.srcArc[i] + 2
+	return first, first + 2*len(net.prob.Replicas[i])
+}
+
 // extractScheduleInto reads the assignment off the saturated bucket->disk
 // arcs of a maximum flow into s, reusing its backing arrays when they are
-// large enough. Disk vertices are mapped back to global IDs arithmetically
-// (vertex q+1+k is participating disk k), so no lookup structure is built.
+// large enough. It reads each bucket's replica arcs by position
+// (replicaArcs), not through the adjacency, and maps disk vertices back
+// to global IDs arithmetically (vertex q+1+k is participating disk k), so
+// no lookup structure is built.
 func (net *network) extractScheduleInto(p *Problem, s *Schedule) error {
 	g := net.g
 	s.Assignment = grow(s.Assignment, net.q)
@@ -413,16 +425,11 @@ func (net *network) extractScheduleInto(p *Problem, s *Schedule) error {
 			s.Assignment[i] = -1 // every replica failed; dropped by this solve
 			continue
 		}
-		v := net.bucketVertex(i)
 		assigned := -1
-		for a := g.Head[v]; a >= 0; a = g.Next[a] {
-			if a%2 == 0 && g.Flow[a] > 0 { // forward bucket->disk arc carrying flow
-				k := int(g.To[a]) - net.q - 1
-				if k < 0 || k >= len(net.diskIDs) {
-					//lint:ignore noalloc corrupt-flow invariant exit; never taken on a maximal flow
-					return fmt.Errorf("retrieval: bucket %d flows to non-disk vertex %d", i, g.To[a])
-				}
-				assigned = net.diskIDs[k]
+		first, end := net.replicaArcs(i)
+		for a := first; a < end; a += 2 {
+			if g.Flow[a] > 0 {
+				assigned = net.diskIDs[int(g.To[a])-net.q-1]
 				break
 			}
 		}
